@@ -6,7 +6,7 @@ for the degree-16 modular parameter family, a registry of the descent's
 algebraic claims, and the rank-1 elliptic curve heuristic.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, squarefree_part
 from .quadform import QuadForm, class_group, class_number

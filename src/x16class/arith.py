@@ -108,15 +108,26 @@ def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = N
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, in exact integer arithmetic."""
+    if k == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # an upper bound; Newton descends to the floor
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_power(n: int) -> Optional[tuple[int, int]]:
     """Return (b, k) with n = b^k, k >= 2 prime, or None."""
     for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if 1 << k > n.bit_length() * 2:
             break
-        b = round(n ** (1.0 / k))
-        for cand in (b - 1, b, b + 1):
-            if cand >= 2 and cand**k == n:
-                return cand, k
+        b = _iroot(n, k)
+        if b >= 2 and b**k == n:
+            return b, k
     return None
 
 

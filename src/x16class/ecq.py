@@ -283,18 +283,6 @@ def heuristic_search(
     return out
 
 
-def height_growth_fit(m_max: int = 8) -> float:
-    """Empirical coefficient c in log(2(u^4+v^4)) ~ c m^2 (least squares)."""
-    num = 0.0
-    den = 0.0
-    for m in range(1, m_max + 1):
-        q = quartic_transport(m)
-        val = 2 * (q.u**4 + q.v**4)
-        num += log(val) * m * m
-        den += m**4
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # the pinned large example
 # ---------------------------------------------------------------------------

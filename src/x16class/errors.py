@@ -45,9 +45,5 @@ class BudgetExceeded(X16Error):
     """A memory or time budget was exceeded."""
 
 
-class MapUndefined(X16Error):
-    """A birational map was evaluated at an exceptional point with no patch."""
-
-
 class UnknownClaim(X16Error):
     """The claim registry has no entry with the requested id."""

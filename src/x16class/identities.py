@@ -225,11 +225,11 @@ _MEMBERSHIPS: dict[str, tuple[str, Callable[[], bool]]] = {
     ),
     "sec5.c9_points": (
         "(0, +-1) lie on the first degree-8 curve",
-        lambda: _on([(0, 1), (0, -1)], lambda v: _poly_oct9(v)),
+        lambda: _on([(0, 1), (0, -1)], _oct9),
     ),
     "sec5.c10_points": (
         "(+-1, +-8) lie on the negated first degree-8 curve",
-        lambda: _on([(1, 8), (1, -8), (-1, 8), (-1, -8)], lambda v: -_poly_oct9(v)),
+        lambda: _on([(1, 8), (1, -8), (-1, 8), (-1, -8)], lambda v: -_oct9(v)),
     ),
     "claim18": (
         "(0,0) lies on y^2 = 2x^5 - 8x^4 - 12x^3 + 8x^2 + 2x",
@@ -237,33 +237,17 @@ _MEMBERSHIPS: dict[str, tuple[str, Callable[[], bool]]] = {
     ),
     "claim19": (
         "(0, +-4) lie on the second degree-8 curve",
-        lambda: _on([(0, 4), (0, -4)], lambda v: _poly_oct11(v)),
+        lambda: _on([(0, 4), (0, -4)], lambda v: _oct11(v, 1)),
     ),
     "claim25": (
         "(1, +-4) lie on the third degree-8 curve",
-        lambda: _on([(1, 4), (1, -4)], lambda v: _poly_oct15(v)),
+        lambda: _on([(1, 4), (1, -4)], lambda v: _oct15(v, 1)),
     ),
     "claim32": (
         "(0, +-1) and (-1, +-4) lie on the negated fourth degree-8 curve",
-        lambda: _on([(0, 1), (0, -1), (-1, 4), (-1, -4)], lambda v: -_poly_oct17(v)),
+        lambda: _on([(0, 1), (0, -1), (-1, 4), (-1, -4)], lambda v: -_oct17(v, 1)),
     ),
 }
-
-
-def _poly_oct9(v):
-    return v**8 + 8 * v**7 - 20 * v**6 - 8 * v**5 - 26 * v**4 - 8 * v**3 - 20 * v**2 + 8 * v + 1
-
-
-def _poly_oct11(v):
-    return v**8 - 8 * v**6 - 24 * v**4 + 32 * v**2 + 16
-
-
-def _poly_oct15(v):
-    return v**8 - 8 * v**7 - 12 * v**6 + 56 * v**5 - 122 * v**4 + 136 * v**3 - 76 * v**2 + 72 * v - 31
-
-
-def _poly_oct17(v):
-    return -17 * v**8 - 104 * v**7 - 132 * v**6 - 72 * v**5 - 22 * v**4 + 40 * v**3 + 28 * v**2 + 8 * v - 1
 
 
 # ---------------------------------------------------------------------------

@@ -171,16 +171,6 @@ class MPolyZ:
     __repr__ = __str__
 
 
-def mp_arith(lhs: MPolyZ, rhs: MPolyZ, op: str) -> MPolyZ:
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
 def verify_identity(lhs: MPolyZ, rhs: MPolyZ) -> bool:
     return (lhs - rhs).is_zero()
 
@@ -452,18 +442,6 @@ class NFElem:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def nf_arith(a: NFElem, b: NFElem, op: str) -> NFElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
 @dataclass(frozen=True)
 class UPolyNF:
     """Univariate polynomial over a shared number field, constant term first."""
@@ -503,7 +481,3 @@ class UPolyNF:
         if not self.is_rational():
             raise ValueError("polynomial has irrational coefficients")
         return tuple(e.coords[0] for e in self.coeffs)
-
-
-def upoly_mul(f: UPolyNF, g: UPolyNF) -> UPolyNF:
-    return f * g

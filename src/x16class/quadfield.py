@@ -325,13 +325,3 @@ def ideal_to_form(I: QIdeal) -> QuadForm:
 
 def is_principal(I: QIdeal) -> bool:
     return reduce_form(ideal_to_form(I)) == principal_form(I.disc)
-
-
-def class_order(I: QIdeal, h: int) -> int:
-    """Order of the class of I in a class group of order h."""
-    f = reduce_form(ideal_to_form(I))
-    one = principal_form(I.disc)
-    for k in quadform._divisors(h):
-        if quadform.form_pow(f, k) == one:
-            return k
-    raise AssertionError("class order does not divide h")

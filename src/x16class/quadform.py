@@ -2,8 +2,9 @@
 
 Reduction, Gauss/Dirichlet composition, enumeration of reduced forms, class
 numbers, abelian group structure (elementary divisors) and the genus-theory
-2-rank.  Everything is exact; the only performance-sensitive entry point is
-class_number, which dispatches to a JIT kernel for large discriminants.
+2-rank.  Everything is exact.  class_number, the only performance-sensitive
+entry point, counts reduced forms with a numpy sieve over the primes up to
+sqrt(|disc|/3); enumerate_reduced lists them directly and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
+
+import numpy as np
 
 from . import arith
 from .arith import FactorBudget, DEFAULT_BUDGET
@@ -174,104 +177,92 @@ def enumerate_reduced(disc: int) -> list[QuadForm]:
     return forms
 
 
-def _count_reduced_python(disc: int) -> int:
-    """Pure-Python twin of the JIT kernel: per-a modular square roots."""
-    D = -disc
-    h = 0
-    amax = isqrt(D // 3)
-    for a in range(1, amax + 1):
-        # factor 4a
-        rem = a
-        e2 = 2
-        while rem % 2 == 0:
-            rem //= 2
-            e2 += 1
-        # roots of x^2 = disc (mod 2^e2) by bit lifting
-        mod = 2
-        roots = [x for x in range(2) if (x * x + D) % 2 == 0]
-        e = 1
-        while e < e2 and roots:
-            e += 1
-            mod <<= 1
-            half = mod >> 1
-            nxt = set()
-            for x in roots:
-                for add in (0, half):
-                    xx = x + add
-                    if (xx * xx + D) % mod == 0:
-                        nxt.add(xx)
-            roots = sorted(nxt)
-        if not roots:
-            continue
-        ok = True
-        rem_odd = rem
-        f = 2
-        odd_blocks = []
-        while f * f <= rem_odd:
-            if rem_odd % f == 0:
-                e = 0
-                while rem_odd % f == 0:
-                    rem_odd //= f
-                    e += 1
-                odd_blocks.append((f, e))
-            f += 1
-        if rem_odd > 1:
-            odd_blocks.append((rem_odd, 1))
-        for p, e in odd_blocks:
-            r = arith.sqrt_mod_prime((-D) % p, p)
-            if r is None:
-                ok = False
-                break
-            if r == 0:
-                if e >= 2:
-                    ok = False
-                    break
-                pe, prts = p, [0]
-            else:
-                pe = p**e
-                if e > 1:
-                    r = arith.lift_sqrt_odd(-D, p, e)
-                prts = [r, pe - r]
-            inv = pow(mod % pe, -1, pe)
-            roots = [
-                x + mod * (((rt - x) % pe) * inv % pe)
-                for x in roots
-                for rt in prts
-            ]
-            mod *= pe
-        if not ok or not roots:
-            continue
-        twoa, foura = 2 * a, 4 * a
-        seen = set()
-        for x in roots:
-            b = x % twoa
-            if b > a:
-                b -= twoa
-            if b in seen:
-                continue
-            seen.add(b)
-            num = b * b + D
-            if num % foura:
-                continue
-            c = num // foura
-            if c < a or (c == a and b < 0):
-                continue
-            h += 1
-    return h
+def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, list[int]]:
+    """g[a] = #{b mod 2a : b^2 = disc (mod 4a)} for 0 < a <= amax, and the
+    odd primes up to sqrt(amax).
+
+    g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
+    a ramified p it is 1 when e = 1 and 0 when e >= 2.  Dividing out the
+    primes up to sqrt(amax) leaves in rem[a] either 1 or one larger prime,
+    whose factor is looked up.
+    """
+    sieve = np.ones(amax + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(amax) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    # Euler's criterion, vectorised: r = disc^((p-1)/2) mod p is 1, p-1 or 0
+    base, r, e = np.int64(disc) % primes, np.ones_like(primes), (primes - 1) // 2
+    while e.any():
+        r = np.where(e & 1, r * base % primes, r)
+        base, e = base * base % primes, e >> 1
+    gp = np.ones(amax + 1, dtype=np.int64)
+    gp[primes] = np.where(r == 1, 2, np.where(r == 0, 1, 0))
+    gp[2:3] = {1: 2, 5: 0}.get(disc % 8, 1)  # p = 2 is read from disc mod 8
+    small = [int(p) for p in primes[primes * primes <= amax]]
+    g = np.ones(amax + 1, dtype=np.int64)
+    rem = np.arange(amax + 1)
+    for p in small:
+        g[p::p] *= gp[p]
+        if gp[p] == 1:
+            g[p * p :: p * p] = 0
+        pk = p
+        while pk <= amax:
+            rem[pk::pk] //= p
+            pk *= p
+    g *= gp[rem]
+    return g, small[1:]
+
+
+def _band_count(disc: int, a: int, odd_primes: list[int]) -> int:
+    """Reduced forms (a, b, c) with this a, for a with g(a) > 0: the roots
+    b mod 2a of b^2 = disc (mod 4a), built by CRT from prime-power roots,
+    that give c > a, or c = a and b >= 0.  odd_primes covers sqrt(a)."""
+    e = (a & -a).bit_length() - 1
+    mod = 2 << e  # first b mod 2^(e+1) with b^2 = disc (mod 2^(e+2))
+    if e == 0:
+        roots = [disc & 1]
+    elif disc % 4 == 0:  # e == 1, as g(a) > 0
+        roots = [2 * ((disc >> 2) & 1)]
+    else:  # disc = 1 (mod 8)
+        r = arith.lift_sqrt_2(disc % (2 * mod), e + 2)
+        roots = [r % mod, -r % mod]
+    rest = a >> e
+    while rest > 1:
+        # with no prime factor up to sqrt(rest), rest itself is prime
+        p = next((q for q in odd_primes if rest % q == 0), rest)
+        k = arith.valuation_int(rest, p)
+        pk = p**k
+        rest //= pk
+        if disc % p == 0:
+            prts = [0]  # k == 1, as g(a) > 0
+        else:
+            r = arith.lift_sqrt_odd(disc, p, k)
+            prts = [r, pk - r]
+        inv = pow(mod, -1, pk)
+        roots = [x + mod * ((s - x) * inv % pk) for x in roots for s in prts]
+        mod *= pk
+    lim = 4 * a * a + disc  # c > a  <=>  b^2 > 4a^2 - |disc|
+    bs = (x if x <= a else x - 2 * a for x in roots)
+    return sum(1 for b in bs if b * b > lim or (b * b == lim and b >= 0))
 
 
 @lru_cache(maxsize=65536)
 def class_number(disc: int) -> int:
-    """Class number h(disc) for a fundamental negative discriminant."""
-    _check_fundamental_disc(disc)
-    try:
-        from ._kernels import HAVE_NUMBA, class_number_numba
+    """Class number h(disc) for a fundamental negative discriminant.
 
-        if HAVE_NUMBA and -disc < 2**62:
-            return class_number_numba(disc)
-    except ImportError:  # pragma: no cover
-        pass
-    return _count_reduced_python(disc)
+    Counts the reduced forms (a, b, c) by a <= sqrt(|disc|/3).  While
+    4a^2 < |disc|, each of the g(a) roots b mod 2a of b^2 = disc (mod 4a)
+    gives one with c > a, so that range is a sum over the sieve; only the
+    band beyond needs the roots themselves (Cohen, GTM 138, section 5.3).
+    """
+    _check_fundamental_disc(disc)
+    amax = isqrt(-disc // 3)
+    amid = isqrt((-disc - 1) // 4)  # the largest a with 4a^2 < |disc|
+    g, odd_primes = _root_counts(disc, amax)
+    band = np.flatnonzero(g[amid + 1 :]) + amid + 1
+    return int(g[1 : amid + 1].sum()) + sum(_band_count(disc, int(a), odd_primes) for a in band)
 
 
 @dataclass

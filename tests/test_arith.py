@@ -28,6 +28,10 @@ def test_factor_prime_and_perfect_power():
     assert f.complete and f.factors == ((2**61 - 1, 1),)
     f = arith.factor(3**40)
     assert f.complete and f.factors == ((3, 40),)
+    # a square above 1024 bits, past the range of a float root
+    m607 = 2**607 - 1
+    f = arith.factor(m607**2)
+    assert f.complete and f.factors == ((m607, 2),)
 
 
 def test_factor_semiprime_via_rho():
@@ -42,6 +46,10 @@ def test_factor_incomplete_within_budget():
     f = arith.factor(n, FactorBudget(trial_bound=100, rho_iterations=1000))
     assert not f.complete
     assert f.cofactor > 1 and f.value() == n
+    # an unsplit cofactor above 1024 bits is returned, not raised on
+    n = (2**521 - 1) * (2**607 - 1)
+    f = arith.factor(n, FactorBudget(rho_iterations=1000))
+    assert not f.complete and f.cofactor == n
 
 
 def test_is_probable_prime():

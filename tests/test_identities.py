@@ -64,9 +64,9 @@ def test_congruence_negative_control_wrong_modulus():
 
 
 def test_membership_negative_control():
-    from x16class.identities import _poly_oct9
+    from x16class.identities import _oct9
 
-    assert 3 * 3 != _poly_oct9(0)  # (0, 3) is not on the curve
+    assert 3 * 3 != _oct9(0)  # (0, 3) is not on the curve
 
 
 def test_determinism():

@@ -12,7 +12,6 @@ from x16class.quadfield import (
     FactoredIdeal,
     QFieldElem,
     QIdeal,
-    class_order,
     factor_principal,
     ideal_to_form,
     is_principal,
@@ -171,7 +170,7 @@ def test_nth_root_ideal():
 def test_ideal_to_form_and_class_order():
     h = quadform.class_number(-8120)
     P = primes_above(-8120, 3).primes[0]
-    k = class_order(P, h)
+    k = quadform.form_order(ideal_to_form(P), h)
     assert h % k == 0
     assert is_principal(P**k) or k == 1  # P^k lands in the principal class
     f = ideal_to_form(P)

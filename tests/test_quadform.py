@@ -2,7 +2,7 @@
 
 import random
 
-from x16class import quadform
+from x16class import arith
 from x16class.quadform import (
     QuadForm,
     class_group,
@@ -80,8 +80,6 @@ def test_known_class_numbers():
 
 def _fundamental_discs(rng, hi, want):
     """Random sample of fundamental discriminants in (-hi, -3]."""
-    from x16class import arith
-
     out = []
     while len(out) < want:
         d = -rng.randrange(2, hi)
@@ -107,15 +105,19 @@ def test_rejects_non_fundamental_discriminant():
         class_number(-16219)  # 7^2 * (-331)
 
 
-def test_python_and_jit_kernels_agree():
-    from x16class._kernels import HAVE_NUMBA, class_number_numba
-
+def test_kernel_matches_enumeration():
+    """The sieve and its band root count against the reduced-form oracle:
+    every fundamental discriminant in (-5000, -3], then random ones up to 10^6."""
+    fundamental = {
+        arith.fundamental_discriminant(d)
+        for d in range(-1, -5000, -1)
+        if arith.squarefree_part(d).m == 1
+    }
+    small = sorted(disc for disc in fundamental if disc > -5000)
+    assert len(small) == 1524
     rng = random.Random(9)
-    for disc in _fundamental_discs(rng, 10**6, 25):
-        py = quadform._count_reduced_python(disc)
-        if HAVE_NUMBA:
-            assert class_number_numba(disc) == py, disc
-        assert class_number(disc) == py, disc
+    for disc in small + _fundamental_discs(rng, 10**6, 25):
+        assert class_number(disc) == len(enumerate_reduced(disc)), disc
 
 
 def test_enumerate_reduced_minus_15():
