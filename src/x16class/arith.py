@@ -120,14 +120,18 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> Optional[tuple[int, int]]:
-    """Return (b, k) with n = b^k, k >= 2 prime, or None."""
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if 1 << k > n.bit_length() * 2:
-            break
-        b = _iroot(n, k)
-        if b >= 2 and b**k == n:
-            return b, k
+def _perfect_power(n: int, base_floor: int) -> Optional[tuple[int, int]]:
+    """Return (b, k) with n = b^k, k >= 2 prime, or None.
+
+    Every prime factor of n must exceed base_floor, so b > base_floor and
+    only the prime k with (base_floor + 1)^k <= n can occur."""
+    k = 2
+    while (base_floor + 1) ** k <= n:
+        if all(k % q for q in range(2, isqrt(k) + 1)):
+            b = _iroot(n, k)
+            if b**k == n:
+                return b, k
+        k += 1
     return None
 
 
@@ -207,7 +211,8 @@ def factor(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
             # is prime
             found[m] = found.get(m, 0) + 1
             continue
-        pk = _perfect_power(m)
+        # trial division has removed every prime up to trial_bound
+        pk = _perfect_power(m, effort.trial_bound)
         if pk is not None:
             b, k = pk
             stack.extend([b] * k)

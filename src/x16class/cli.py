@@ -103,6 +103,16 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text}") from exc
 
 
+def _parse_positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_heuristic)
 
     p = sub.add_parser("pi2", help="count integers below n of the form p z^2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_positive_int, required=True)
     p.set_defaults(handler=_cmd_pi2)
 
     return ap

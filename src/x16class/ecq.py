@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import gcd, isqrt
 from typing import Optional
 
 import numpy as np
@@ -324,27 +324,34 @@ def verify_section6_example(rounds: int = 40) -> bool:
 # pi_2 counting
 # ---------------------------------------------------------------------------
 
+# pi2_count sieves the odd numbers below n, one byte each, so n/2 bytes; the
+# cap keeps that under 50 MB.
 PI2_MEMORY_CAP = 10**8
 
 
 def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
-    """Number of integers in (0, n) of the form p z^2, by sieve."""
+    """Number of integers k in (0, n) of the form p z^2, p prime.
+
+    Such a k determines p (its squarefree part) and z, so
+    pi2(n) = sum over z >= 1 with 2 z^2 <= n - 1 of pi((n - 1) // z^2).
+    Each pi(x) is read off one Eratosthenes sieve over the odd numbers up
+    to n - 1, which takes n/2 bytes."""
     if n > memory_cap:
         raise BudgetExceeded(f"pi2 sieve limited to n <= {memory_cap}")
     if n <= 2:
         return 0
-    # squarefree part of every k < n: divide out p^2 layer by layer
-    sq = np.arange(n, dtype=np.int64)
-    isprime = np.ones(n, dtype=bool)
-    isprime[:2] = False
-    for p in range(2, isqrt(n - 1) + 1):
-        if isprime[p]:
-            isprime[p * p :: p] = False
-            q = p * p
-            while q < n:
-                sq[q::q] //= p * p
-                q *= p * p
-    return int(isprime[sq[2:]].sum())
+    m = n - 1
+    odd = np.ones((m + 1) // 2, dtype=bool)  # odd[i]: 2i + 1 is prime
+    odd[0] = False
+    for i in range(1, (isqrt(m) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    # x = m // z^2 >= 2 here, so pi(x) counts the prime 2 plus the odd primes
+    return sum(
+        1 + int(np.count_nonzero(odd[: (m // (z * z) + 1) // 2]))
+        for z in range(1, isqrt(m // 2) + 1)
+    )
 
 
 def _pi2_brute(n: int) -> int:
@@ -357,11 +364,3 @@ def _pi2_brute(n: int) -> int:
         if arith.is_probable_prime(m):
             count += 1
     return count
-
-
-def pi2_profile(ns: list[int]) -> list[tuple[int, int, float]]:
-    out = []
-    for n in ns:
-        c = pi2_count(n)
-        out.append((n, c, c * log(n) / n))
-    return out

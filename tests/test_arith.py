@@ -32,6 +32,15 @@ def test_factor_prime_and_perfect_power():
     m607 = 2**607 - 1
     f = arith.factor(m607**2)
     assert f.complete and f.factors == ((m607, 2),)
+    # powers of a prime above trial_bound with a prime exponent k >= 11
+    p = 1_099_511_627_791  # the first prime above 2^40
+    for k in (11, 13):
+        f = arith.factor(p**k)
+        assert f.complete and f.factors == ((p, k),)
+    # a base just above trial_bound, with rho too short to split the power
+    for k in (2, 13):
+        f = arith.factor(10007**k, arith.FactorBudget(rho_iterations=1))
+        assert f.complete and f.factors == ((10007, k),)
 
 
 def test_factor_semiprime_via_rho():

@@ -102,6 +102,10 @@ def test_pi2(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["count"] == "11"
     assert main(["pi2", "--n", str(10**9)]) == 2  # over the memory cap
+    capsys.readouterr()
+    for bad in ("0", "-5"):
+        assert main(["pi2", "--n", bad]) == 3
+        assert "--n" in capsys.readouterr().err
 
 
 def test_usage_errors():

@@ -1,8 +1,9 @@
 """Elliptic curve group law, quartic transport, heuristic, pi2 counting."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd, log
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,6 @@ from x16class.ecq import (
     ec_mul,
     heuristic_search,
     pi2_count,
-    pi2_profile,
     pz2_test,
     quartic_rhs,
     quartic_to_weierstrass,
@@ -167,11 +167,26 @@ def test_section6_negative_control():
 def test_pi2_counts():
     assert pi2_count(20) == 11
     assert pi2_count(300) == ecq._pi2_brute(300)
-    prof = pi2_profile([20])
-    assert prof[0][:2] == (20, 11)
-    assert abs(prof[0][2] - 11 * log(20) / 20) < 1e-12
+    # pi2(n) counts k < n, so k = n enters the running count only at n + 1
+    count = 0
+    for n in range(2001):
+        assert pi2_count(n) == count, n
+        if n >= 2 and arith.is_probable_prime(arith.squarefree_part(n).d):
+            count += 1
+    pinned = {10**4: 2459, 10**5: 18628, 10**6: 147677, 10**7: 1218118}
+    assert {n: pi2_count(n) for n in pinned} == pinned
 
 
 def test_pi2_memory_cap():
     with pytest.raises(BudgetExceeded):
         pi2_count(10**9)
+
+
+def test_pi2_peak_memory_is_under_one_byte_per_n():
+    tracemalloc.start()
+    try:
+        pi2_count(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**6
