@@ -291,7 +291,7 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
-    """A square root of a mod prime p (Tonelli-Shanks), or None."""
+    """A square root of a mod prime p, or None."""
     a %= p
     if a == 0:
         return 0
@@ -299,13 +299,23 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
+    return sqrt_of_residue(a, p)
+
+
+def sqrt_of_residue(a: int, p: int) -> int:
+    """A square root of a mod an odd prime p, for a that is known to be a
+    nonzero square mod p (nothing checks it): closed forms for p = 3 (mod 4)
+    and, after Atkin, p = 5 (mod 8); Tonelli-Shanks for p = 1 (mod 8)."""
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        return a * v * (2 * a * v * v - 1) % p
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    z = 3  # 2 is a square mod p = 1 (mod 8)
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)

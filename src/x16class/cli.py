@@ -160,8 +160,7 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
 
 
 def _census_worker(t):
-    rec = x16.divisibility_check(x16.point_from_t(t, _WORKER_BUDGET), _WORKER_BUDGET)
-    return rec
+    return x16.census_check(t, _WORKER_BUDGET)
 
 
 _WORKER_BUDGET = None
@@ -183,10 +182,11 @@ def _cmd_census(args, cfg: Config) -> int:
         params = x16.census_parameters(height)
         summary = x16.CensusSummary(height)
         with mp.Pool(cfg.worker_count, _worker_init, (budget,)) as pool:
-            recs = []
-            for t, result in zip(params, pool.imap(_census_worker, params)):
-                recs.append(result)
-        for rec in recs:  # params are already canonically ordered
+            results = list(zip(params, pool.imap(_census_worker, params)))
+        for t, rec in results:  # params are already canonically ordered
+            if isinstance(rec, str):
+                summary.errors.append((t, rec))
+                continue
             summary.records += 1
             if rec.d == -15:
                 summary.exceptions.append(rec.t)

@@ -4,7 +4,10 @@ Reduction, Gauss/Dirichlet composition, enumeration of reduced forms, class
 numbers, abelian group structure (elementary divisors) and the genus-theory
 2-rank.  Everything is exact.  class_number, the only performance-sensitive
 entry point, counts reduced forms with a numpy sieve over the primes up to
-sqrt(|disc|/3); enumerate_reduced lists them directly and serves as its oracle.
+sqrt(|disc|/3); the band sqrt(|disc|)/2 < a <= sqrt(|disc|/3), where the
+roots themselves are needed, takes each a as s*q split from the sieve's rem,
+with cached roots mod 2s.  enumerate_reduced lists the forms directly and
+serves as its oracle.
 """
 
 from __future__ import annotations
@@ -177,14 +180,16 @@ def enumerate_reduced(disc: int) -> list[QuadForm]:
     return forms
 
 
-def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, list[int]]:
+def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g[a] = #{b mod 2a : b^2 = disc (mod 4a)} for 0 < a <= amax, and the
-    odd primes up to sqrt(amax).
+    sieve's factorisation of each a with g(a) > 0: rem[a] and lpf[a].
 
     g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
     a ramified p it is 1 when e = 1 and 0 when e >= 2.  Dividing out the
-    primes up to sqrt(amax) leaves in rem[a] either 1 or one larger prime,
-    whose factor is looked up.
+    split and ramified primes up to sqrt(amax) leaves in rem[a], wherever
+    g(a) > 0, either 1 or one larger prime, whose factor is looked up;
+    lpf[a] is the largest of the divided-out primes (0 when there is none).
+    An inert p zeroes g on its multiples, so it is not divided out.
     """
     sieve = np.ones(amax + 1, dtype=bool)
     sieve[:2] = False
@@ -200,52 +205,101 @@ def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, list[int]]:
     gp = np.ones(amax + 1, dtype=np.int64)
     gp[primes] = np.where(r == 1, 2, np.where(r == 0, 1, 0))
     gp[2:3] = {1: 2, 5: 0}.get(disc % 8, 1)  # p = 2 is read from disc mod 8
-    small = [int(p) for p in primes[primes * primes <= amax]]
     g = np.ones(amax + 1, dtype=np.int64)
-    rem = np.arange(amax + 1)
-    for p in small:
-        g[p::p] *= gp[p]
-        if gp[p] == 1:
+    # int32 holds every a: at amax = 2^31, g and gp alone would take 32 GB
+    rem = np.arange(amax + 1, dtype=np.int32)
+    lpf = np.zeros(amax + 1, dtype=np.int32)
+    for p in primes[primes * primes <= amax].tolist():
+        if gp[p] == 0:  # inert: g = 0 on every multiple, whatever rem holds there
+            g[p::p] = 0
+            continue
+        if gp[p] == 2:
+            g[p::p] *= 2
+        else:
             g[p * p :: p * p] = 0
+        lpf[p::p] = p
         pk = p
         while pk <= amax:
             rem[pk::pk] //= p
             pk *= p
     g *= gp[rem]
-    return g, small[1:]
+    return g, rem, lpf
 
 
-def _band_count(disc: int, a: int, odd_primes: list[int]) -> int:
-    """Reduced forms (a, b, c) with this a, for a with g(a) > 0: the roots
-    b mod 2a of b^2 = disc (mod 4a), built by CRT from prime-power roots,
-    that give c > a, or c = a and b >= 0.  odd_primes covers sqrt(a)."""
-    e = (a & -a).bit_length() - 1
-    mod = 2 << e  # first b mod 2^(e+1) with b^2 = disc (mod 2^(e+2))
-    if e == 0:
-        roots = [disc & 1]
-    elif disc % 4 == 0:  # e == 1, as g(a) > 0
-        roots = [2 * ((disc >> 2) & 1)]
-    else:  # disc = 1 (mod 8)
-        r = arith.lift_sqrt_2(disc % (2 * mod), e + 2)
-        roots = [r % mod, -r % mod]
-    rest = a >> e
-    while rest > 1:
-        # with no prime factor up to sqrt(rest), rest itself is prime
-        p = next((q for q in odd_primes if rest % q == 0), rest)
-        k = arith.valuation_int(rest, p)
-        pk = p**k
-        rest //= pk
-        if disc % p == 0:
-            prts = [0]  # k == 1, as g(a) > 0
-        else:
-            r = arith.lift_sqrt_odd(disc, p, k)
-            prts = [r, pk - r]
-        inv = pow(mod, -1, pk)
-        roots = [x + mod * ((s - x) * inv % pk) for x in roots for s in prts]
-        mod *= pk
-    lim = 4 * a * a + disc  # c > a  <=>  b^2 > 4a^2 - |disc|
-    bs = (x if x <= a else x - 2 * a for x in roots)
-    return sum(1 for b in bs if b * b > lim or (b * b == lim and b >= 0))
+class _BandRoots:
+    """Roots of disc mod 2s and mod odd prime powers, for the divisors s of
+    band values a with g(a) > 0, each found once and cached.
+
+    s splits as (s / p^k) * p^k, where p = rem[s] when that is one prime
+    above sqrt(amax), else p = lpf[s], the largest sieved prime of s; the
+    roots mod 2s then come by one CRT step from those mod 2s/p^k and mod
+    p^k, down to the power of 2.  (A class, not recursive closures: those
+    form a reference cycle that keeps each call's sieve arrays alive until
+    the cyclic garbage collector runs, which raised the census's peak RSS.)
+    """
+
+    def __init__(self, disc: int, rem: np.ndarray, lpf: np.ndarray):
+        self.disc, self.rem, self.lpf = disc, rem, lpf
+        self.pk_root: dict[int, int] = {}  # p^k -> a root of disc mod p^k
+        self.s_roots: dict[int, list[int]] = {}  # s -> the roots b mod 2s
+
+    def root(self, p: int, pk: int) -> int:
+        """A root of disc mod p^k, p odd."""
+        r = self.pk_root.get(pk)
+        if r is None:
+            disc = self.disc
+            if pk == p:  # g(a) > 0, so disc is a square mod p
+                r = arith.sqrt_of_residue(disc % p, p) if disc % p else 0
+            else:  # unramified, as g(a) > 0: one Newton step from p^(k-1)
+                r = self.root(p, pk // p)
+                r = (r - (r * r - disc) * pow(2 * r, -1, pk)) % pk
+            self.pk_root[pk] = r
+        return r
+
+    def mod_2s(self, s: int) -> list[int]:
+        """The roots b mod 2s of b^2 = disc (mod 4s)."""
+        out = self.s_roots.get(s)
+        if out is not None:
+            return out
+        disc = self.disc
+        if s & (s - 1) == 0:  # s = 2^e: b mod 2^(e+1) with b^2 = disc (mod 2^(e+2))
+            if s == 1:
+                out = [disc & 1]
+            elif disc % 4 == 0:  # e == 1, as g(a) > 0
+                out = [2 * ((disc >> 2) & 1)]
+            else:  # disc = 1 (mod 8)
+                r = arith.lift_sqrt_2(disc % (4 * s), s.bit_length() + 1)
+                out = [r % (2 * s), -r % (2 * s)]
+        else:  # rem[s] is 2 only when s = 2 (amax < 4), handled above
+            p = pk = int(self.rem[s])
+            if p == 1:
+                p = pk = int(self.lpf[s])
+                while s % (pk * p) == 0:
+                    pk *= p
+            r = self.root(p, pk)
+            m = 2 * s // pk
+            inv = pow(m, -1, pk)
+            ys = (r, pk - r) if r else (0,)
+            out = [x + m * ((y - x) * inv % pk) for x in self.mod_2s(s // pk) for y in ys]
+        self.s_roots[s] = out
+        return out
+
+
+def _band_forms(disc: int, band: list[int], rem: np.ndarray, lpf: np.ndarray) -> int:
+    """Reduced forms (a, b, c) with a in the band, for band values a with
+    g(a) > 0: the roots b mod 2a of b^2 = disc (mod 4a) that give c > a, or
+    c = a and b >= 0.  Each a is s*q, with q = rem[a] one prime above
+    sqrt(amax) or 1, so its roots take one CRT step from the cached roots
+    mod 2s and one square root mod q."""
+    roots = _BandRoots(disc, rem, lpf).mod_2s
+    count = 0
+    for a in band:
+        lim = 4 * a * a + disc  # c > a  <=>  b^2 > 4a^2 - |disc|
+        for x in roots(a):
+            b = x if x <= a else x - 2 * a
+            if b * b > lim or (b * b == lim and b >= 0):
+                count += 1
+    return count
 
 
 @lru_cache(maxsize=65536)
@@ -256,13 +310,15 @@ def class_number(disc: int) -> int:
     4a^2 < |disc|, each of the g(a) roots b mod 2a of b^2 = disc (mod 4a)
     gives one with c > a, so that range is a sum over the sieve; only the
     band beyond needs the roots themselves (Cohen, GTM 138, section 5.3).
+    There each a is s*q split from the sieve's rem, with cached roots mod 2s
+    and one square root per large prime q.
     """
     _check_fundamental_disc(disc)
     amax = isqrt(-disc // 3)
     amid = isqrt((-disc - 1) // 4)  # the largest a with 4a^2 < |disc|
-    g, odd_primes = _root_counts(disc, amax)
+    g, rem, lpf = _root_counts(disc, amax)
     band = np.flatnonzero(g[amid + 1 :]) + amid + 1
-    return int(g[1 : amid + 1].sum()) + sum(_band_count(disc, int(a), odd_primes) for a in band)
+    return int(g[1 : amid + 1].sum()) + _band_forms(disc, band.tolist(), rem, lpf)
 
 
 @dataclass

@@ -148,15 +148,20 @@ def census_parameters(height_bound: int) -> list[Fraction]:
     ts = []
     for s in range(1, height_bound + 1):
         for r in range(-height_bound, height_bound + 1):
-            if gcd(r, s) != 1:
-                continue
-            t = Fraction(r, s)
-            if t in CUSPS:
-                continue
-            if f16_eval(t) < 0:
-                ts.append(t)
+            # s^6 f16(r/s) has the sign of f16(r/s); f16 is 0 or 4 at the cusps
+            if h16_homogeneous(r, s) < 0 and gcd(r, s) == 1:
+                ts.append(Fraction(r, s))
     ts.sort(key=lambda t: (abs(t.numerator) + t.denominator, t.numerator, t.denominator))
     return ts
+
+
+def census_check(t: Fraction, effort: FactorBudget = DEFAULT_BUDGET) -> CensusRecord | str:
+    """divisibility_check at t, or the error it raised as "Type: message":
+    in a census, per-record failures are recorded, not fatal."""
+    try:
+        return divisibility_check(point_from_t(t, effort), effort)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def census(
@@ -167,10 +172,9 @@ def census(
     """Run divisibility_check on every non-cusp imaginary t of bounded height."""
     summary = CensusSummary(height_bound)
     for t in census_parameters(height_bound):
-        try:
-            rec = divisibility_check(point_from_t(t, effort), effort)
-        except Exception as exc:  # per-record failures are recorded, not fatal
-            summary.errors.append((t, f"{type(exc).__name__}: {exc}"))
+        rec = census_check(t, effort)
+        if isinstance(rec, str):
+            summary.errors.append((t, rec))
             continue
         summary.records += 1
         if rec.d == -15:

@@ -113,6 +113,12 @@ def test_sqrt_mod_prime():
             x = rng.randrange(p)
             r = arith.sqrt_mod_prime(x * x % p, p)
             assert r is not None and r * r % p == x * x % p
+    assert arith.sqrt_mod_prime(3, 7) is None  # 3 is not a square mod 7
+    # every nonzero square, for p = 3 (mod 4), 5 (mod 8) and 1 (mod 8)
+    for p in (7, 13, 29, 41, 73, 113, 10007, 10009):
+        for x in range(1, p):
+            r = arith.sqrt_of_residue(x * x % p, p)
+            assert r * r % p == x * x % p
 
 
 def test_lift_sqrt_odd():

@@ -63,6 +63,26 @@ def test_census_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config, height, code",
+    [({"trial_bound": 10, "rho_iterations": 1}, 20, 2), ({}, 8, 0)],
+)
+def test_census_pool_matches_serial(tmp_path, capsys, config, height, code):
+    """worker_count 2 writes the same bytes as the serial census, error rows
+    included: a failing record is recorded, it does not abort the pool."""
+    outputs = []
+    for workers in (1, 2):
+        cfgpath = tmp_path / f"cfg{workers}.json"
+        cfgpath.write_text(json.dumps({**config, "worker_count": workers}))
+        out = tmp_path / f"census{workers}.jsonl"
+        argv = ["--config", str(cfgpath), "census", "--height", str(height), "--jsonl", str(out)]
+        assert main(argv) == code
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0].splitlines()[-1])
+    assert len(summary["errors"]) == (88 if code else 0)
+
+
 def test_pullback(capsys):
     assert main(["pullback", "--t", "-5"]) == 0
     assert "order = 5" in capsys.readouterr().out

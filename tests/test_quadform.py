@@ -1,6 +1,7 @@
 """Binary quadratic forms: reduction, composition, class numbers, structure."""
 
 import random
+from math import isqrt
 
 from x16class import arith
 from x16class.quadform import (
@@ -118,6 +119,44 @@ def test_kernel_matches_enumeration():
     rng = random.Random(9)
     for disc in small + _fundamental_discs(rng, 10**6, 25):
         assert class_number(disc) == len(enumerate_reduced(disc)), disc
+
+
+def test_band_paths_match_enumeration():
+    """Each path of the band root count, on discriminants found by a scan:
+    the band sqrt(|disc|)/2 < a <= sqrt(|disc|/3) holds a reduced form whose
+    a takes that path, and h agrees with the oracle."""
+
+    def band(disc):
+        return {f.a for f in enumerate_reduced(disc) if 4 * f.a * f.a > -disc}
+
+    def amax(disc):
+        return isqrt(-disc // 3)
+
+    tiny = (-3, -4, -7, -8)  # amax = 1: no sieve primes at all
+    assert all(amax(disc) == 1 for disc in tiny)
+    # a = s*q, the large prime q (q^2 > amax) ramified: q | disc
+    ramified = ((-132, 2, 3), (-100036, 2, 89))
+    for disc, s, q in ramified:
+        assert q * q > amax(disc) and disc % q == 0 and s * q in band(disc)
+    # a with 4 | a for disc = 1 (mod 8): the 2-adic lift
+    two_adic = ((-55, 4), (-100007, 164))
+    for disc, a in two_adic:
+        assert disc % 8 == 1 and a % 4 == 0 and a in band(disc)
+    # a with an odd p^k, k >= 2: Newton steps from the root mod p
+    prime_power = ((-260, 9, 3, 2), (-100004, 162, 3, 4))
+    for disc, a, p, k in prime_power:
+        assert a % p**k == 0 and a in band(disc)
+    # a = s*q, q = 1 (mod 8): Tonelli-Shanks; q = 5 (mod 8): Atkin
+    large_q = ((-1012, 1, 17), (-100020, 2, 89), (-84, 1, 5), (-100004, 3, 53))
+    for disc, s, q in large_q:
+        assert q % 4 == 1 and q * q > amax(disc) and s * q in band(disc)
+    for disc in {*tiny, *(c[0] for c in ramified + two_adic + prime_power + large_q)}:
+        assert class_number(disc) == len(enumerate_reduced(disc)), disc
+    # the census-h36 discriminants with the largest band, h from the
+    # per-a root count that preceded the cached band
+    assert class_number(-635236280) == 15520
+    assert class_number(-548282504) == 16160
+    assert class_number(-723857960) == 11520
 
 
 def test_enumerate_reduced_minus_15():

@@ -1,6 +1,7 @@
 """The parameter-to-class-group pipeline and the auxiliary sextic curve."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -109,6 +110,15 @@ def test_census_parameters_order_and_content():
     assert all(f16_eval(t) < 0 and t not in CUSPS for t in ts)
     keys = [(abs(t.numerator) + t.denominator, t.numerator, t.denominator) for t in ts]
     assert keys == sorted(keys)
+    # the integer sign test keeps exactly the t that the Fraction f16 keeps
+    by_fraction = {
+        Fraction(r, s)
+        for s in range(1, 21)
+        for r in range(-20, 21)
+        if gcd(r, s) == 1 and Fraction(r, s) not in CUSPS and f16_eval(Fraction(r, s)) < 0
+    }
+    ts = census_parameters(20)
+    assert len(ts) == len(by_fraction) and set(ts) == by_fraction
 
 
 def test_census_height_10():
