@@ -3,15 +3,15 @@
 Exit codes: 0 success, 1 mathematical violation found, 2 budget or
 incompleteness, 3 usage error.  All big integers are serialized as decimal
 strings so JSON consumers never lose precision.  Identical configuration
-(including the RNG seed) produces byte-identical output files; when a worker
-pool is used, records are sorted canonically before writing.
+(including the RNG seed) produces byte-identical output files, whatever the
+worker count: census records stream to the output as they are made, in
+canonical parameter order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -70,30 +70,30 @@ def _s(x) -> str:
 
 
 class _Writer:
-    """JSONL/CSV record writer bound to a path or stdout."""
+    """JSONL/CSV record writer bound to a path or stdout; each row is written
+    when it is given.  In CSV, a row whose keys differ from the current
+    header starts a new header line, and list values are JSON-encoded."""
 
     def __init__(self, path: Optional[str], fmt: str):
         self.fmt = fmt
-        self.rows: list[dict] = []
-        self.path = path
+        self.out = open(path, "w") if path else sys.stdout
+        self.csv: Optional[csv.DictWriter] = None
+
+    def __enter__(self) -> "_Writer":
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.out is not sys.stdout:
+            self.out.close()
 
     def write(self, row: dict):
-        self.rows.append(row)
-
-    def flush(self):
-        out = open(self.path, "w") if self.path else sys.stdout
-        try:
-            if self.fmt == "jsonl":
-                for row in self.rows:
-                    out.write(json.dumps(row) + "\n")
-            else:
-                if self.rows:
-                    w = csv.DictWriter(out, fieldnames=list(self.rows[0].keys()))
-                    w.writeheader()
-                    w.writerows(self.rows)
-        finally:
-            if self.path:
-                out.close()
+        if self.fmt == "jsonl":
+            self.out.write(json.dumps(row) + "\n")
+            return
+        if self.csv is None or list(row) != self.csv.fieldnames:
+            self.csv = csv.DictWriter(self.out, fieldnames=list(row))
+            self.csv.writeheader()
+        self.csv.writerow({k: json.dumps(v) if isinstance(v, list) else v for k, v in row.items()})
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -159,53 +159,26 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
     }
 
 
-def _census_worker(t):
-    return x16.census_check(t, _WORKER_BUDGET)
-
-
-_WORKER_BUDGET = None
-
-
-def _worker_init(budget):
-    global _WORKER_BUDGET
-    _WORKER_BUDGET = budget
-
-
 def _cmd_census(args, cfg: Config) -> int:
     height = args.height or cfg.height_bound
     path = args.jsonl or cfg.output_path
-    writer = _Writer(path, cfg.format)
-    budget = cfg.budget()
-    if cfg.worker_count > 1:
-        import multiprocessing as mp
-
-        params = x16.census_parameters(height)
-        summary = x16.CensusSummary(height)
-        with mp.Pool(cfg.worker_count, _worker_init, (budget,)) as pool:
-            results = list(zip(params, pool.imap(_census_worker, params)))
-        for t, rec in results:  # params are already canonically ordered
-            if isinstance(rec, str):
-                summary.errors.append((t, rec))
-                continue
-            summary.records += 1
-            if rec.d == -15:
-                summary.exceptions.append(rec.t)
-            elif not rec.div10:
-                summary.violations.append(rec.t)
-            writer.write(_record_to_row(rec))
-    else:
-        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)), budget)
-    writer.write(
-        {
-            "summary": True,
-            "height": height,
-            "records": summary.records,
-            "exceptions": [str(t) for t in summary.exceptions],
-            "violations": [str(t) for t in summary.violations],
-            "errors": [[str(t), msg] for t, msg in summary.errors],
-        }
-    )
-    writer.flush()
+    with _Writer(path, cfg.format) as writer:
+        summary = x16.census(
+            height,
+            lambda rec: writer.write(_record_to_row(rec)),
+            cfg.budget(),
+            cfg.worker_count,
+        )
+        writer.write(
+            {
+                "summary": True,
+                "height": height,
+                "records": summary.records,
+                "exceptions": [str(t) for t in summary.exceptions],
+                "violations": [str(t) for t in summary.violations],
+                "errors": [[str(t), msg] for t, msg in summary.errors],
+            }
+        )
     print(
         f"census height <= {height}: {summary.records} records, "
         f"{len(summary.exceptions)} exceptional-field points, "
@@ -258,24 +231,22 @@ def _cmd_verify_example6(args, cfg: Config) -> int:
 
 
 def _cmd_heuristic(args, cfg: Config) -> int:
-    writer = _Writer(args.jsonl or cfg.output_path, cfg.format)
     records = ecq.heuristic_search(args.mmax, cfg.budget())
-    untested = 0
-    for r in records:
-        untested += r.status == "untested"
-        writer.write(
-            {
-                "m": r.m,
-                "u_digits": r.u_digits,
-                "v_digits": r.v_digits,
-                "p_digits": r.p_digits,
-                "z": _s(r.z),
-                "status": r.status,
-                "certified": r.status == "hit_certified",
-            }
-        )
-    writer.flush()
+    with _Writer(args.jsonl or cfg.output_path, cfg.format) as writer:
+        for r in records:
+            writer.write(
+                {
+                    "m": r.m,
+                    "u_digits": r.u_digits,
+                    "v_digits": r.v_digits,
+                    "p_digits": r.p_digits,
+                    "z": _s(r.z),
+                    "status": r.status,
+                    "certified": r.status == "hit_certified",
+                }
+            )
     hits = sum(1 for r in records if r.is_hit)
+    untested = sum(1 for r in records if r.status == "untested")
     print(f"{len(records)} multiples tested: {hits} hits, {untested} untested", file=sys.stderr)
     return EXIT_BUDGET if untested else EXIT_OK
 
@@ -315,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classgroup)
 
     p = sub.add_parser("census", help="divisibility census over bounded-height parameters")
-    p.add_argument("--height", type=int)
+    p.add_argument("--height", type=_parse_positive_int)
     p.add_argument("--jsonl", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_census)
 

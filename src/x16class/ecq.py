@@ -190,18 +190,6 @@ def quartic_transport(m: int) -> QuarticPoint:
 # p z^2 testing and the heuristic sweep
 # ---------------------------------------------------------------------------
 
-def pz2_test(
-    n: int, effort: FactorBudget = DEFAULT_BUDGET
-) -> Optional[tuple[int, int]]:
-    """(p, z) with n = p z^2 and p prime, when the squarefree part is prime."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    sf = arith.squarefree_part(n, effort)
-    if sf.d >= 2 and arith.is_probable_prime(sf.d, effort.prime_rounds):
-        return sf.d, sf.m
-    return None
-
-
 @dataclass(frozen=True)
 class HeuristicRecord:
     m: int
@@ -216,23 +204,25 @@ class HeuristicRecord:
         return self.status.startswith("hit")
 
 
-def _partial_pz2(n: int, effort: FactorBudget) -> HeuristicRecord:
-    """Classify n = p z^2? when full factorization is out of budget."""
-    f = arith.factor(n, effort)
-    if f.complete:
-        raise AssertionError("caller handles the complete case")
-    odd_part = 1
+def _classify_pz2(
+    f: arith.FactoredInt, certified: bool, effort: FactorBudget
+) -> tuple[str, int, int]:
+    """(status, p, z) for n = f.value() > 0: is n a prime p times z^2?
+
+    Complete factorizations are decided, as certified or probable hits;
+    with a cofactor C left, n is a probable hit only when C is a probable
+    prime and every other prime appears to an even power."""
+    odd = [p for p, e in f.factors if e % 2]
     z = 1
     for p, e in f.factors:
         z *= p ** (e // 2)
-        if e % 2:
-            odd_part *= p
-    C = f.cofactor
-    if arith.is_probable_prime(C, effort.prime_rounds):
-        if odd_part == 1:
-            return HeuristicRecord(0, 0, 0, "hit_probable", len(str(C)), z)
-        return HeuristicRecord(0, 0, 0, "non_hit")
-    return HeuristicRecord(0, 0, 0, "untested")
+    if f.complete:
+        if len(odd) == 1:
+            return ("hit_certified" if certified else "hit_probable"), odd[0], z
+        return "non_hit", 0, 0
+    if arith.is_probable_prime(f.cofactor, effort.prime_rounds):
+        return ("non_hit", 0, 0) if odd else ("hit_probable", f.cofactor, z)
+    return "untested", 0, 0
 
 
 def heuristic_search(
@@ -240,11 +230,12 @@ def heuristic_search(
 ) -> list[HeuristicRecord]:
     """Test 2(u^4+v^4) at the multiples m = 0..m_max of the generator.
 
-    Values up to value_bound are factored completely (certified verdicts);
-    larger values get trial division plus a probable-prime cofactor test and
-    are reported as probable or untested, never silently dropped.  Torsion
-    translates and sign changes of m permute u and v signs only, so one
-    representative per |m| suffices.
+    Each value is factored once.  Values up to value_bound that factor
+    completely get certified verdicts; larger ones are reported as probable,
+    and a value whose factorization is incomplete is classified from its
+    probable-prime cofactor or reported untested, never silently dropped.
+    Torsion translates and sign changes of m permute u and v signs only, so
+    one representative per |m| suffices.
     """
     out = []
     G = ECPoint.make(E4_WEIERSTRASS, *E4_GENERATOR)
@@ -254,32 +245,10 @@ def heuristic_search(
             P = ec_add(P, G)
         q = weierstrass_to_quartic(P)
         n = 2 * (q.u**4 + q.v**4)
-        ud, vd = len(str(abs(q.u))), len(str(abs(q.v)))
-        if n <= value_bound:
-            r = pz2_test(n, effort)
-            if r is None:
-                out.append(HeuristicRecord(m, ud, vd, "non_hit"))
-            else:
-                p, z = r
-                out.append(
-                    HeuristicRecord(m, ud, vd, "hit_certified", len(str(p)), z)
-                )
-        else:
-            f = arith.factor(n, effort)
-            if f.complete:
-                r = pz2_test(n, effort)
-                if r is None:
-                    out.append(HeuristicRecord(m, ud, vd, "non_hit"))
-                else:
-                    p, z = r
-                    out.append(
-                        HeuristicRecord(m, ud, vd, "hit_probable", len(str(p)), z)
-                    )
-            else:
-                rec = _partial_pz2(n, effort)
-                out.append(
-                    HeuristicRecord(m, ud, vd, rec.status, rec.p_digits, rec.z)
-                )
+        f = arith.factor(n, effort)
+        status, p, z = _classify_pz2(f, n <= value_bound, effort)
+        digits = len(str(p)) if p else 0
+        out.append(HeuristicRecord(m, len(str(abs(q.u))), len(str(abs(q.v))), status, digits, z))
     return out
 
 
@@ -314,10 +283,6 @@ def section6_checks(rounds: int = 40) -> list[tuple[str, bool]]:
         ("p (y u v)^2 = h16(u^2, v^2)", p * (y * u * v) ** 2 == h16),
     ]
     return checks
-
-
-def verify_section6_example(rounds: int = 40) -> bool:
-    return all(ok for _, ok in section6_checks(rounds))
 
 
 # ---------------------------------------------------------------------------

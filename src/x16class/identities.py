@@ -337,14 +337,3 @@ def verify_all(only: Optional[str] = None) -> list[ClaimResult]:
         return [verify_claim(find_claim(only))]
     return [verify_claim(c) for c in registry()]
 
-
-def verify_congruence_claims() -> list[ClaimResult]:
-    return [verify_claim(c) for c in registry() if c.kind == "congruence"]
-
-
-def verify_substitution_claims() -> list[ClaimResult]:
-    return [verify_claim(c) for c in registry() if c.kind == "substitution"]
-
-
-def verify_point_memberships() -> list[ClaimResult]:
-    return [verify_claim(c) for c in registry() if c.kind == "membership"]

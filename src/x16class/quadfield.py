@@ -20,12 +20,7 @@ from .errors import (
     ExponentNotDivisible,
     IncompleteFactorization,
 )
-from .quadform import QuadForm, principal_form, reduce_form
-
-
-def _check_fundamental(disc: int):
-    if disc >= 0 or disc % 4 not in (0, 1):
-        raise ValueError(f"{disc} is not a negative discriminant")
+from .quadform import QuadForm, _check_disc, principal_form, reduce_form
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,7 @@ class QFieldElem:
 
     @staticmethod
     def make(disc: int, u, v) -> "QFieldElem":
-        _check_fundamental(disc)
+        _check_disc(disc)
         return QFieldElem(disc, Fraction(u), Fraction(v))
 
     def is_zero(self) -> bool:
@@ -96,7 +91,7 @@ class QIdeal:
     scal: Fraction = Fraction(1)
 
     def __post_init__(self):
-        _check_fundamental(self.disc)
+        _check_disc(self.disc)
         if self.a <= 0 or not (0 <= self.b < 2 * self.a):
             raise ValueError(f"non-canonical ideal basis ({self.a}, {self.b})")
         if (self.b * self.b - self.disc) % (4 * self.a):
@@ -167,7 +162,7 @@ class Splitting:
 
 def primes_above(disc: int, p: int) -> Splitting:
     """Splitting of a rational prime in the maximal order of disc."""
-    _check_fundamental(disc)
+    _check_disc(disc)
     sym = arith.kronecker(disc, p)
     if sym == -1:
         return Splitting(p, "inert", (QIdeal.make(disc, 1, disc & 1, p),))

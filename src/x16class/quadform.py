@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -341,7 +341,7 @@ def form_order(f: QuadForm, h: int) -> int:
     """Order of the class of f in a group of order h."""
     one = principal_form(f.disc)
     f = reduce_form(f)
-    for k in sorted(_divisors(h)):
+    for k in _divisors(h):
         if form_pow(f, k) == one:
             return k
     raise AssertionError("element order does not divide group order")
@@ -392,7 +392,7 @@ def group_structure(cg: ClassGroup) -> list[int]:
                 d *= sizes[i]
         chain.append(d)
     chain.reverse()  # ascending divisibility chain d1 | d2 | ...
-    assert _prod(chain) == h
+    assert prod(chain) == h
     return chain
 
 
@@ -402,13 +402,6 @@ def _plog(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _prod(xs) -> int:
-    r = 1
-    for x in xs:
-        r *= x
-    return r
 
 
 def two_rank_genus(d: int, effort: FactorBudget = DEFAULT_BUDGET) -> int:

@@ -17,8 +17,10 @@ one point where the printed formula degenerates to 0/0.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Optional
 
@@ -168,21 +170,32 @@ def census(
     height_bound: int,
     sink: Optional[Callable[[CensusRecord], None]] = None,
     effort: FactorBudget = DEFAULT_BUDGET,
+    workers: int = 1,
 ) -> CensusSummary:
-    """Run divisibility_check on every non-cusp imaginary t of bounded height."""
+    """Run divisibility_check on every non-cusp imaginary t of bounded height,
+    in this process or in a pool of `workers` processes.  Either way, records
+    reach `sink` as they are made, in canonical order."""
     summary = CensusSummary(height_bound)
-    for t in census_parameters(height_bound):
-        rec = census_check(t, effort)
-        if isinstance(rec, str):
-            summary.errors.append((t, rec))
-            continue
-        summary.records += 1
-        if rec.d == -15:
-            summary.exceptions.append(t)
-        elif not rec.div10:
-            summary.violations.append(t)
-        if sink is not None:
-            sink(rec)
+    params = census_parameters(height_bound)
+    check = partial(census_check, effort=effort)
+    with ExitStack() as stack:
+        if workers == 1:
+            results = map(check, params)
+        else:
+            import multiprocessing  # here, not at the top: it slows start-up
+
+            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, params)
+        for t, rec in zip(params, results):
+            if isinstance(rec, str):
+                summary.errors.append((t, rec))
+                continue
+            summary.records += 1
+            if rec.d == -15:
+                summary.exceptions.append(t)
+            elif not rec.div10:
+                summary.violations.append(t)
+            if sink is not None:
+                sink(rec)
     return summary
 
 

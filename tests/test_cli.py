@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, configuration, and output files."""
 
+import csv
 import json
 import os
 
@@ -83,6 +84,29 @@ def test_census_pool_matches_serial(tmp_path, capsys, config, height, code):
     assert len(summary["errors"]) == (88 if code else 0)
 
 
+def test_census_csv_matches_jsonl(tmp_path, capsys):
+    """The summary row has its own keys, so it starts a second header line;
+    its list fields are JSON-encoded."""
+    jsonl, csvout = tmp_path / "census.jsonl", tmp_path / "census.csv"
+    assert main(["census", "--height", "6", "--jsonl", str(jsonl)]) == 0
+    cfgpath = tmp_path / "csv.json"
+    cfgpath.write_text(json.dumps({"format": "csv"}))
+    assert main(["--config", str(cfgpath), "census", "--height", "6", "--jsonl", str(csvout)]) == 0
+    expected = [json.loads(l) for l in jsonl.read_text().splitlines()]
+    with open(csvout, newline="") as fh:
+        lines = list(csv.reader(fh))
+    header, *body = lines
+    assert header == list(expected[0])
+    assert len(body) == len(expected) + 1  # one more header, before the summary
+    for row, rec in zip(body, expected[:-1]):
+        assert row == [str(v) for v in rec.values()]
+    summary = dict(zip(*body[-2:]))
+    assert list(summary) == list(expected[-1])
+    assert {k: json.loads(v) if v.startswith("[") else v for k, v in summary.items()} == {
+        k: v if isinstance(v, list) else str(v) for k, v in expected[-1].items()
+    }
+
+
 def test_pullback(capsys):
     assert main(["pullback", "--t", "-5"]) == 0
     assert "order = 5" in capsys.readouterr().out
@@ -128,6 +152,9 @@ def test_pi2(capsys):
         assert "--n" in capsys.readouterr().err
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 3
     assert main(["pullback", "--t", "zebra"]) == 3
+    for bad in ("0", "-3"):
+        assert main(["census", "--height", bad]) == 3
+        assert "--height" in capsys.readouterr().err

@@ -19,12 +19,10 @@ from x16class.ecq import (
     ec_mul,
     heuristic_search,
     pi2_count,
-    pz2_test,
     quartic_rhs,
     quartic_to_weierstrass,
     quartic_transport,
     section6_checks,
-    verify_section6_example,
     weierstrass_to_quartic,
 )
 from x16class.errors import BudgetExceeded, NotOnCurve
@@ -138,10 +136,35 @@ def test_height_growth_is_quadratic_in_m():
 
 
 def test_pz2():
-    assert pz2_test(164) == (41, 2)  # 164 = 41 * 2^2
-    assert pz2_test(4) == None or pz2_test(4) is None  # squarefree part 1
-    assert pz2_test(12) == (3, 2)
-    assert pz2_test(30) is None  # 30 squarefree composite
+    def classify(f, certified=True):
+        return ecq._classify_pz2(f, certified, arith.DEFAULT_BUDGET)
+
+    assert classify(arith.factor(164)) == ("hit_certified", 41, 2)  # 164 = 41 * 2^2
+    assert classify(arith.factor(164), False) == ("hit_probable", 41, 2)
+    assert classify(arith.factor(4)) == ("non_hit", 0, 0)  # squarefree part 1
+    assert classify(arith.factor(12)) == ("hit_certified", 3, 2)
+    assert classify(arith.factor(30)) == ("non_hit", 0, 0)  # 30 squarefree composite
+    # an incomplete factorization is decided only by a probable-prime cofactor
+    assert classify(arith.FactoredInt(1, ((2, 2),), 41)) == ("hit_probable", 41, 2)
+    assert classify(arith.FactoredInt(1, ((2, 1),), 41)) == ("non_hit", 0, 0)
+    assert classify(arith.FactoredInt(1, ((2, 2),), 10007 * 10009)) == ("untested", 0, 0)
+
+
+def test_heuristic_factors_each_value_once(monkeypatch):
+    values = []
+    factor = arith.factor
+
+    def counting_factor(n, *args, **kwargs):
+        values.append(n)
+        return factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "factor", counting_factor)
+    heuristic_search(13)
+    expected = []
+    for m in range(14):
+        q = quartic_transport(m)
+        expected.append(2 * (q.u**4 + q.v**4))
+    assert values == expected
 
 
 def test_heuristic_search_statuses():
@@ -153,7 +176,7 @@ def test_heuristic_search_statuses():
 
 
 def test_section6_example():
-    assert verify_section6_example()
+    assert all(ok for _, ok in section6_checks())
     names = [n for n, ok in section6_checks(rounds=5)]
     assert any("181" in n for n in names)
 

@@ -10,9 +10,6 @@ from x16class.identities import (
     registry,
     verify_all,
     verify_claim,
-    verify_congruence_claims,
-    verify_point_memberships,
-    verify_substitution_claims,
 )
 
 EXPECTED_PASS = {
@@ -39,12 +36,17 @@ def test_registry_contents_and_statuses():
 
 
 def test_kind_filters():
-    assert {r.id for r in verify_congruence_claims()} == {"claim4", "sec5.f1_mod4"}
-    assert {r.id for r in verify_substitution_claims()} == {
+    results = verify_all()
+
+    def of_kind(kind):
+        return [r for r in results if r.kind == kind]
+
+    assert {r.id for r in of_kind("congruence")} == {"claim4", "sec5.f1_mod4"}
+    assert {r.id for r in of_kind("substitution")} == {
         "claim9", "claim15", "claim21", "claim27", "sec3.g1g2"
     }
-    assert len(verify_point_memberships()) == 10
-    assert all(r.status == "pass" for r in verify_point_memberships())
+    assert len(of_kind("membership")) == 10
+    assert all(r.status == "pass" for r in of_kind("membership"))
 
 
 def test_unknown_claim():
