@@ -176,8 +176,9 @@ def _pollard_brent(n: int, rng: random.Random, max_iters: int) -> Optional[int]:
 
 def factor(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     """Factor a nonzero integer: trial division, then Brent rho with
-    perfect-power splitting.  Never raises; an unresolved composite lands in
-    the cofactor field with complete=False."""
+    perfect-power splitting.  Raises ValueError for n = 0 and nothing else:
+    a composite the budget cannot split lands in the cofactor field with
+    complete=False."""
     if n == 0:
         raise ValueError("factor(0) is undefined")
     sign = -1 if n < 0 else 1

@@ -194,7 +194,7 @@ def _cmd_census(args, cfg: Config) -> int:
 
 def _cmd_pullback(args, cfg: Config) -> int:
     p = x16.point_from_t(args.t, cfg.budget())
-    res = x16.cl5_pullback(p, cfg.budget())
+    res = x16.cl5_pullback(p)
     print(f"t = {res.t}: disc = {res.disc}, class = {res.ideal_class_form}, order = {res.order}")
     return EXIT_OK
 
@@ -223,11 +223,18 @@ def _cmd_verify_table1(args, cfg: Config) -> int:
     return EXIT_OK if ok and points_ok and cor_ok else EXIT_VIOLATION
 
 
-def _cmd_verify_example6(args, cfg: Config) -> int:
-    checks = ecq.section6_checks(cfg.prime_rounds)
+def _report_checks(checks: list[tuple[str, bool]]) -> int:
     for name, good in checks:
         print(f"{'ok' if good else 'FAIL'}  {name}")
     return EXIT_OK if all(good for _, good in checks) else EXIT_VIOLATION
+
+
+def _cmd_verify_example6(args, cfg: Config) -> int:
+    return _report_checks(ecq.section6_checks(cfg.prime_rounds))
+
+
+def _cmd_verify_lemmas(args, cfg: Config) -> int:
+    return _report_checks(x16.verify_lemmas())
 
 
 def _cmd_heuristic(args, cfg: Config) -> int:
@@ -303,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-example6", help="verify the pinned 181-digit example")
     p.set_defaults(handler=_cmd_verify_example6)
+
+    p = sub.add_parser("verify-lemmas", help="polynomial identities behind the pullback's closed form")
+    p.set_defaults(handler=_cmd_verify_lemmas)
 
     p = sub.add_parser("heuristic", help="p z^2 search along multiples of the generator")
     p.add_argument("--mmax", type=int, required=True)

@@ -406,20 +406,25 @@ def _plog(n: int, p: int) -> int:
 
 def two_rank_genus(d: int, effort: FactorBudget = DEFAULT_BUDGET) -> int:
     """Genus-theory 2-rank of the (narrow = ordinary) class group of
-    Q(sqrt(d)) for squarefree d < 0: one less than the number of ramified
-    primes, i.e. the distinct primes of the fundamental discriminant.
+    Q(sqrt(d)) for squarefree d < 0; see two_rank_from_factors."""
+    if d >= 0:
+        raise ValueError("d must be negative")
+    return two_rank_from_factors(d, arith.factor(d, effort))
+
+
+def two_rank_from_factors(d: int, fd: arith.FactoredInt) -> int:
+    """Genus 2-rank of Q(sqrt(d)) from the factorisation fd of squarefree
+    d < 0: one less than the number of ramified primes, i.e. the distinct
+    primes of the fundamental discriminant.
 
     For d = 1 mod 4 and even d these are exactly the primes of d; for
     d = 3 mod 4 the prime 2 ramifies as well and must be counted.
     """
-    if d >= 0:
-        raise ValueError("d must be negative")
-    f = arith.factor(d, effort)
-    if not f.complete:
+    if not fd.complete:
         raise IncompleteFactorization(f"cannot factor {d}")
-    if any(e > 1 for _, e in f.factors):
+    if any(e > 1 for _, e in fd.factors):
         raise ValueError(f"{d} is not squarefree")
-    n = len(f.factors)
+    n = len(fd.factors)
     if d % 4 == 3:  # negative d = 3 mod 4 in Python is d % 4 == 3
         n += 1
     return n - 1

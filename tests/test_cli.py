@@ -133,6 +133,14 @@ def test_verify_example6(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_verify_lemmas(capsys):
+    assert main(["verify-lemmas"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok  B_h^2 - A_h^2 h16 = (r - s)^10",
+        "ok  U A + V B = 64",
+    ]
+
+
 def test_heuristic(tmp_path):
     out = tmp_path / "heur.jsonl"
     assert main(["heuristic", "--mmax", "4", "--jsonl", str(out)]) == 0

@@ -14,11 +14,11 @@ from x16class.quadfield import (
     QIdeal,
     factor_principal,
     ideal_to_form,
-    is_principal,
     nth_root_ideal,
     primes_above,
     valuation,
 )
+from x16class.quadform import principal_form, reduce_form
 
 DISCS = (-15, -8120, -4, -3, -455, -2059, -84)
 
@@ -54,12 +54,14 @@ def test_primes_above_split_ramified_inert():
     assert s.kind == "split" and len(s.primes) == 2
     P, Pbar = s.primes
     assert P.norm() == 2 and Pbar == P.conj()
-    assert (P * Pbar).norm() == 4 and is_principal(P * Pbar)
+    assert (P * Pbar).norm() == 4
+    assert reduce_form(ideal_to_form(P * Pbar)) == principal_form(-15)
 
     s = primes_above(-15, 3)
     assert s.kind == "ramified"
     (P,) = s.primes
-    assert P.norm() == 3 and (P * P).norm() == 9 and is_principal(P * P)
+    assert P.norm() == 3 and (P * P).norm() == 9
+    assert reduce_form(ideal_to_form(P * P)) == principal_form(-15)
 
     s = primes_above(-4, 3)
     assert s.kind == "inert" and s.primes[0].norm() == 9
@@ -108,7 +110,7 @@ def test_ideal_product_contains_products():
 def test_inverse_and_pow():
     I = QIdeal.make(-8120, 271, 458)
     assert (I * I.inverse()).norm() == 1
-    assert is_principal(I * I.inverse())
+    assert reduce_form(ideal_to_form(I * I.inverse())) == principal_form(-8120)
     assert (I**3).norm() == I.norm() ** 3
     assert (I**-2).norm() == Fraction(1, I.norm() ** 2)
 
@@ -172,6 +174,7 @@ def test_ideal_to_form_and_class_order():
     P = primes_above(-8120, 3).primes[0]
     k = quadform.form_order(ideal_to_form(P), h)
     assert h % k == 0
-    assert is_principal(P**k) or k == 1  # P^k lands in the principal class
+    # P^k lands in the principal class
+    assert reduce_form(ideal_to_form(P**k)) == principal_form(-8120) or k == 1
     f = ideal_to_form(P)
     assert f.disc == -8120 and f.a == 3

@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from x16class import quadfield, x16
+from x16class import arith, quadfield, x16
 from x16class.errors import NotImaginary, NotOnCurve, SupportCollision
 from x16class.poly import MPolyZ
+from x16class.quadform import class_number, reduce_form
 from x16class.x16 import (
     CUSPS,
     cl5_pullback,
@@ -48,10 +49,14 @@ def test_point_from_t_field_constants():
 
 
 def test_g_eval_guards():
-    with pytest.raises(SupportCollision):
-        g_eval(x16.X16Point(Fraction(1), Fraction(0), 1, Fraction(0), False))
-    with pytest.raises(NotImaginary):
-        g_eval(point_from_t(Fraction(2)))  # f16(2) > 0
+    """g_eval and cl5_pullback refuse cusps, t = 1 and real fields alike."""
+    for fn in (g_eval, cl5_pullback):
+        with pytest.raises(ValueError):
+            fn(point_from_t(Fraction(0)))
+        with pytest.raises(SupportCollision):
+            fn(x16.X16Point(Fraction(1), Fraction(0), 1, Fraction(0), False))
+        with pytest.raises(NotImaginary):
+            fn(point_from_t(Fraction(2)))  # f16(2) > 0
 
 
 def test_g_norm_identity():
@@ -92,6 +97,21 @@ def test_pullback_orders_pinned():
         assert res.order == order, t
 
 
+def test_pullback_matches_ideal_factorisation():
+    """The closed form gives the reduced form of the fifth root of (g(P))
+    computed by ideal factorisation, on both parities of r - s."""
+    ts = census_parameters(60)
+    odd = sum((t.numerator - t.denominator) % 2 for t in ts)
+    assert (odd, len(ts) - odd) == (610, 302)
+    for t in ts + [Fraction(-3), Fraction(1, 3), Fraction(-242, 29), Fraction(29, 242)]:
+        p = point_from_t(t)
+        e = g_eval(p)
+        I = quadfield.nth_root_ideal(quadfield.factor_principal(e), 5)
+        res = cl5_pullback(p)
+        assert res.disc == e.disc, t
+        assert res.ideal_class_form == reduce_form(quadfield.ideal_to_form(I)), t
+
+
 def test_pullback_valuations_divisible_by_5():
     for t in (Fraction(-5), Fraction(-7), Fraction(-242, 29)):
         e = g_eval(point_from_t(t))
@@ -99,9 +119,15 @@ def test_pullback_valuations_divisible_by_5():
         assert all(v % 5 == 0 for _, v in F.entries), t
 
 
-def test_divisibility_check_t_minus_5():
-    rec = divisibility_check(point_from_t(Fraction(-5)))
-    assert (rec.d, rec.disc, rec.h) == (-455, -455, 20)
+def test_divisibility_check_t_minus_5(monkeypatch):
+    p = point_from_t(Fraction(-5))
+    class_number(-455)  # caches the class number and its discriminant check
+    factored = []
+    real_factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
+    rec = divisibility_check(p)
+    assert factored == []  # d is factored once, by point_from_t
+    assert (rec.d, rec.disc, rec.h, rec.two_rank) == (-455, -455, 20, 2)
     assert rec.five_order == 5 and rec.div10
 
 
