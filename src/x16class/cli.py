@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 mathematical violation found, 2 budget or
-incompleteness, 3 usage error.  All big integers are serialized as decimal
-strings so JSON consumers never lose precision.  Identical configuration
-(including the RNG seed) produces byte-identical output files, whatever the
-worker count: census records stream to the output as they are made, in
-canonical parameter order.
+Exit codes: 0 success, 1 mathematical violation found, 2 budget, size cap
+or incompleteness, 3 usage error, including input outside the domain (an
+unknown claim id, a parameter whose field is not imaginary).  All big
+integers are serialized as decimal strings so JSON consumers never lose
+precision.  Identical configuration (including the RNG seed) produces
+byte-identical output files, whatever the worker count: census records
+stream to the output as they are made, in canonical parameter order.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import arith, ecq, identities, quadform, x16
+import numpy as np
+
+from . import __version__, arith, ecq, identities, quadform, x16
 from .arith import FactorBudget
-from .errors import BudgetExceeded, IncompleteFactorization, X16Error
+from .errors import BudgetExceeded, IncompleteFactorization, NotImaginary, UnknownClaim, X16Error
 
 CONFIG_ENV = "X16CLASS_CONFIG"
 
@@ -103,14 +107,19 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text}") from exc
 
 
-def _parse_positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +279,21 @@ def _cmd_pi2(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+def _cmd_env(args, cfg: Config) -> int:
+    print(
+        json.dumps(
+            {
+                "x16class": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+                "platform": platform.platform(),
+            }
+        )
+    )
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -293,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classgroup)
 
     p = sub.add_parser("census", help="divisibility census over bounded-height parameters")
-    p.add_argument("--height", type=_parse_positive_int)
+    p.add_argument("--height", type=_int_at_least(1))
     p.add_argument("--jsonl", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_census)
 
@@ -315,13 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_lemmas)
 
     p = sub.add_parser("heuristic", help="p z^2 search along multiples of the generator")
-    p.add_argument("--mmax", type=int, required=True)
+    p.add_argument("--mmax", type=_int_at_least(0), required=True)
     p.add_argument("--jsonl", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_heuristic)
 
     p = sub.add_parser("pi2", help="count integers below n of the form p z^2")
-    p.add_argument("--n", type=_parse_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_pi2)
+
+    p = sub.add_parser("env", help="print the package, Python and numpy versions, CPU count and platform")
+    p.set_defaults(handler=_cmd_env)
 
     return ap
 
@@ -345,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (UnknownClaim, NotImaginary) as exc:
+        print(f"usage error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except X16Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -180,12 +180,6 @@ def quartic_to_weierstrass(q: QuarticPoint) -> ECPoint:
     return ECPoint.make(E4_WEIERSTRASS, X, V)
 
 
-def quartic_transport(m: int) -> QuarticPoint:
-    """Primitive quartic representative of m times the pinned generator."""
-    G = ECPoint.make(E4_WEIERSTRASS, *E4_GENERATOR)
-    return weierstrass_to_quartic(ec_mul(m, G))
-
-
 # ---------------------------------------------------------------------------
 # p z^2 testing and the heuristic sweep
 # ---------------------------------------------------------------------------
@@ -289,9 +283,11 @@ def section6_checks(rounds: int = 40) -> list[tuple[str, bool]]:
 # pi_2 counting
 # ---------------------------------------------------------------------------
 
-# pi2_count sieves the odd numbers below n, one byte each, so n/2 bytes; the
-# cap keeps that under 50 MB.
+# pi2_count sieves the odd numbers below n one block of PI2_BLOCK bytes at a
+# time, so its memory is one block plus ~sqrt(n)/2 bytes of base primes
+# whatever n is; the cap bounds its time.
 PI2_MEMORY_CAP = 10**8
+PI2_BLOCK = 1 << 19
 
 
 def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
@@ -299,24 +295,49 @@ def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
 
     Such a k determines p (its squarefree part) and z, so
     pi2(n) = sum over z >= 1 with 2 z^2 <= n - 1 of pi((n - 1) // z^2).
-    Each pi(x) is read off one Eratosthenes sieve over the odd numbers up
-    to n - 1, which takes n/2 bytes."""
+    The pi(x) are read off one segmented Eratosthenes sieve over the odd
+    numbers up to n - 1 (Bays & Hudson, BIT 17, 1977): the blocks of
+    PI2_BLOCK odd numbers are sieved in ascending order, in one reused bool
+    array, by the odd primes up to sqrt(n - 1), and each query is answered
+    in the block where it ends.  Memory is that one block; memory_cap
+    bounds the time."""
     if n > memory_cap:
         raise BudgetExceeded(f"pi2 sieve limited to n <= {memory_cap}")
     if n <= 2:
         return 0
     m = n - 1
-    odd = np.ones((m + 1) // 2, dtype=bool)  # odd[i]: 2i + 1 is prime
-    odd[0] = False
-    for i in range(1, (isqrt(m) + 1) // 2):
-        if odd[i]:
+    root = isqrt(m)
+    base = np.ones((root + 1) // 2, dtype=bool)  # base[i]: 2i + 1 is prime
+    base[0] = False
+    for i in range(1, (isqrt(root) + 1) // 2):
+        if base[i]:
             p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    # x = m // z^2 >= 2 here, so pi(x) counts the prime 2 plus the odd primes
-    return sum(
-        1 + int(np.count_nonzero(odd[: (m // (z * z) + 1) // 2]))
-        for z in range(1, isqrt(m // 2) + 1)
-    )
+            base[p * p // 2 :: p] = False
+    primes = (2 * np.flatnonzero(base) + 1).tolist()
+    strike = [p * p // 2 for p in primes]  # next index of 2i + 1 to strike per prime
+    # the odd primes up to x = m // z^2 sit at the indices i < (x + 1) // 2;
+    # z runs down so that these query ends ascend
+    ends = [(m // (z * z) + 1) // 2 for z in range(isqrt(m // 2), 0, -1)]
+    size = (m + 1) // 2
+    block = np.empty(min(PI2_BLOCK, size), dtype=bool)
+    total = below = q = 0  # below: odd primes before the current block
+    for lo in range(0, size, PI2_BLOCK):
+        hi = min(lo + PI2_BLOCK, size)
+        seg = block[: hi - lo]
+        seg[:] = True
+        if lo == 0:
+            seg[0] = False
+        for j, p in enumerate(primes):
+            k = strike[j]
+            if k < hi:
+                seg[k - lo :: p] = False
+                strike[j] = k + (hi - k + p - 1) // p * p
+        # x = m // z^2 >= 2, so pi(x) counts the prime 2 plus the odd primes
+        while q < len(ends) and ends[q] <= hi:
+            total += 1 + below + int(np.count_nonzero(seg[: ends[q] - lo]))
+            q += 1
+        below += int(np.count_nonzero(seg))
+    return total
 
 
 def _pi2_brute(n: int) -> int:

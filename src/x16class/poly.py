@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -173,72 +172,6 @@ class MPolyZ:
 
 def verify_identity(lhs: MPolyZ, rhs: MPolyZ) -> bool:
     return (lhs - rhs).is_zero()
-
-
-def mp_substitute(
-    p: MPolyZ, bindings: Mapping[str, Union[MPolyZ, Scalar]]
-) -> tuple[MPolyZ, Fraction]:
-    """Substitute every variable of p and split off the rational content.
-
-    Returns (primitive, content) with subst(p) = content * primitive, the
-    primitive part an integer polynomial with positive graded-lex leading
-    coefficient.  The zero result is returned as (0, 0).
-    """
-    norm: dict[str, MPolyZ] = {}
-    consts: dict[str, Fraction] = {}
-    out_vars: set[str] = set()
-    for v in p.variables:
-        if v not in bindings:
-            raise ValueError(f"unbound variable {v}")
-        b = bindings[v]
-        if isinstance(b, MPolyZ):
-            norm[v] = b
-            out_vars.update(b.variables)
-        else:
-            consts[v] = Fraction(b)
-    out = tuple(sorted(out_vars))
-    n = len(out)
-
-    # cache powers of each polynomial binding
-    pow_cache: dict[tuple[str, int], MPolyZ] = {}
-
-    def ppow(v: str, k: int) -> MPolyZ:
-        key = (v, k)
-        if key not in pow_cache:
-            pow_cache[key] = norm[v].remap(out) ** k
-        return pow_cache[key]
-
-    acc: dict[tuple[int, ...], Fraction] = {}
-    one = MPolyZ.const(1, out)
-    for e, c in p.terms.items():
-        coeff = Fraction(c)
-        polypart = one
-        for v, exp in zip(p.variables, e):
-            if exp == 0:
-                continue
-            if v in consts:
-                coeff *= consts[v] ** exp
-            else:
-                polypart = polypart * ppow(v, exp)
-        if coeff == 0:
-            continue
-        for te, tc in polypart.terms.items():
-            acc[te] = acc.get(te, Fraction(0)) + coeff * tc
-    acc = {e: c for e, c in acc.items() if c != 0}
-    if not acc:
-        return MPolyZ(out, {}), Fraction(0)
-    g = 0
-    l = 1
-    for c in acc.values():
-        g = gcd(g, c.numerator)
-        l = lcm(l, c.denominator)
-    content = Fraction(g, l)
-    prim_terms = {e: int(c / content) for e, c in acc.items()}
-    prim = MPolyZ(out, prim_terms)
-    if prim.leading_coefficient() < 0:
-        prim = -prim
-        content = -content
-    return prim, content
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,11 @@ def two_rank_from_factors(d: int, fd: arith.FactoredInt) -> int:
 
 
 def two_rank_of_group(cg: ClassGroup) -> int:
-    """Exact 2-rank via counting ambiguous classes (order dividing 2)."""
+    """Exact 2-rank via counting ambiguous classes (order dividing 2).
+
+    Acceptance criterion 3's genus oracle: it reads the 2-rank off the
+    enumerated class group, independently of the genus count of
+    two_rank_genus and two_rank_from_factors."""
     one = principal_form(cg.disc)
     amb = sum(1 for f in cg.reduced_forms if compose(f, f) == one)
     r = amb.bit_length() - 1

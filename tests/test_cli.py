@@ -3,9 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import x16class
 from x16class import cli
 from x16class.cli import Config, load_config, main
 
@@ -112,6 +116,8 @@ def test_pullback(capsys):
     assert "order = 5" in capsys.readouterr().out
     assert main(["pullback", "--t", "-3"]) == 0
     assert "order = 1" in capsys.readouterr().out
+    assert main(["pullback", "--t", "2"]) == 3  # d = 70: not an imaginary field
+    assert "NotImaginary" in capsys.readouterr().err
 
 
 def test_verify_claims(capsys):
@@ -119,7 +125,7 @@ def test_verify_claims(capsys):
     out = capsys.readouterr().out
     assert "claim9" in out and "external" in out and "fail" not in out
     assert main(["verify-claims", "--only", "claim21"]) == 0
-    assert main(["verify-claims", "--only", "claim99"]) == 1  # unknown claim
+    assert main(["verify-claims", "--only", "claim99"]) == 3  # unknown claim
 
 
 def test_verify_table1(capsys):
@@ -147,6 +153,9 @@ def test_heuristic(tmp_path):
     recs = [json.loads(l) for l in out.read_text().splitlines()]
     assert [r["m"] for r in recs] == [0, 1, 2, 3, 4]
     assert recs[1]["certified"] and recs[1]["p_digits"] == 2
+    assert main(["heuristic", "--mmax", "0", "--jsonl", str(out)]) == 0
+    assert [json.loads(l)["m"] for l in out.read_text().splitlines()] == [0]
+    assert main(["heuristic", "--mmax", "-1"]) == 3
 
 
 def test_pi2(capsys):
@@ -166,3 +175,27 @@ def test_usage_errors(capsys):
     for bad in ("0", "-3"):
         assert main(["census", "--height", bad]) == 3
         assert "--height" in capsys.readouterr().err
+
+
+def test_env(capsys):
+    assert main(["env"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert list(rec) == ["x16class", "python", "numpy", "cpu_count", "platform"]
+    assert rec["x16class"] == x16class.__version__
+    assert rec["cpu_count"] == os.cpu_count()
+
+
+def test_python_dash_m(tmp_path):
+    """python -m x16class runs the CLI from the source tree, exit code included."""
+    env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "x16class", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = run("env")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["x16class"] == x16class.__version__
+    assert run("no-such-command").returncode == 3

@@ -3,8 +3,9 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from x16class import arith, ecq
@@ -21,7 +22,6 @@ from x16class.ecq import (
     pi2_count,
     quartic_rhs,
     quartic_to_weierstrass,
-    quartic_transport,
     section6_checks,
     weierstrass_to_quartic,
 )
@@ -77,6 +77,12 @@ def test_group_law_associativity_randomized():
 def test_torsion_point():
     T = ECPoint.make(E4_WEIERSTRASS, *E4_TORSION)
     assert ec_mul(2, T).is_infinity
+
+
+def quartic_transport(m: int) -> QuarticPoint:
+    """Primitive quartic representative of m times the pinned generator."""
+    G = ECPoint.make(E4_WEIERSTRASS, *E4_GENERATOR)
+    return weierstrass_to_quartic(ec_mul(m, G))
 
 
 def _reduce_V(p: MPolyZ) -> MPolyZ:
@@ -200,6 +206,36 @@ def test_pi2_counts():
     assert {n: pi2_count(n) for n in pinned} == pinned
 
 
+def _pi2_one_array(n: int) -> int:
+    """pi2(n) from one bool sieve over all the odd numbers below n (n/2
+    bytes): the unsegmented form of pi2_count, kept as its oracle."""
+    if n <= 2:
+        return 0
+    m = n - 1
+    odd = np.ones((m + 1) // 2, dtype=bool)  # odd[i]: 2i + 1 is prime
+    odd[0] = False
+    for i in range(1, (isqrt(m) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return sum(
+        1 + int(np.count_nonzero(odd[: (m // (z * z) + 1) // 2]))
+        for z in range(1, isqrt(m // 2) + 1)
+    )
+
+
+def test_pi2_segments_match_one_array(monkeypatch):
+    """At the default block size, n = 2k * PI2_BLOCK + delta puts the last
+    odd number of a k-block sieve next to n - 1.  Blocks of 64 bring block
+    edges, queries that end on an edge and base primes wider than a block
+    to every small n."""
+    sizes = [2 * k * ecq.PI2_BLOCK + delta for k in (1, 2) for delta in range(-2, 4)]
+    assert [pi2_count(n) for n in sizes] == [_pi2_one_array(n) for n in sizes]
+    monkeypatch.setattr(ecq, "PI2_BLOCK", 64)
+    for n in range(3000):
+        assert pi2_count(n) == _pi2_one_array(n), n
+
+
 def test_pi2_memory_cap():
     with pytest.raises(BudgetExceeded):
         pi2_count(10**9)
@@ -209,6 +245,16 @@ def test_pi2_peak_memory_is_under_one_byte_per_n():
     tracemalloc.start()
     try:
         pi2_count(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**6
+
+
+def test_pi2_peak_memory_is_one_block():
+    tracemalloc.start()
+    try:
+        pi2_count(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,6 @@ from x16class.poly import (
     MPolyZ,
     NFElem,
     UPolyNF,
-    mp_substitute,
     parse_prefix,
     verify_identity,
 )
@@ -72,18 +71,6 @@ def test_verify_identity():
     )
     assert verify_identity(lhs, rhs)
     assert not verify_identity(lhs, rhs + 1)
-
-
-def test_mp_substitute_content():
-    r, s = MPolyZ.var("r"), MPolyZ.var("s")
-    p = r * r + s * s
-    v = MPolyZ.var("v")
-    prim, content = mp_substitute(p, {"r": 2 * v, "s": Fraction(0)})
-    assert content == 4 and prim == v * v
-    prim, content = mp_substitute(p, {"r": v, "s": v})
-    assert content == 2 and prim == v * v
-    prim, content = mp_substitute(p, {"r": Fraction(0), "s": Fraction(0)})
-    assert content == 0 and prim.is_zero()
 
 
 MP = (2, 2, -1, 1)  # alpha^3 - alpha^2 + 2 alpha + 2
