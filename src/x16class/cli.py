@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 mathematical violation found, 2 budget, size cap
 or incompleteness, 3 usage error, including input outside the domain (an
-unknown claim id, a parameter whose field is not imaginary).  All big
+unknown claim id, a parameter whose field is not imaginary), 141 the reader
+closed standard output early (128 + SIGPIPE, as for ``yes | head``).  All big
 integers are serialized as decimal strings so JSON consumers never lose
 precision.  Identical configuration (including the RNG seed) produces
 byte-identical output files, whatever the worker count: census records
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_PIPE = 141
 
 
 @dataclass
@@ -365,7 +367,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args, cfg)
+        code = args.handler(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``| head``); send what is still buffered to
+        # the null device so the flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except IncompleteFactorization as exc:
         print(f"factorization budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

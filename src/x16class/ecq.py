@@ -283,61 +283,47 @@ def section6_checks(rounds: int = 40) -> list[tuple[str, bool]]:
 # pi_2 counting
 # ---------------------------------------------------------------------------
 
-# pi2_count sieves the odd numbers below n one block of PI2_BLOCK bytes at a
-# time, so its memory is one block plus ~sqrt(n)/2 bytes of base primes
-# whatever n is; the cap bounds its time.
+# pi2_count needs pi only at the values m // k, m = n - 1, and gets all of
+# them from Legendre's recurrence in two int64 arrays of isqrt(m) + 1
+# entries, so its memory grows as sqrt(n); the cap bounds its time.
 PI2_MEMORY_CAP = 10**8
-PI2_BLOCK = 1 << 19
 
 
 def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
     """Number of integers k in (0, n) of the form p z^2, p prime.
 
     Such a k determines p (its squarefree part) and z, so
-    pi2(n) = sum over z >= 1 with 2 z^2 <= n - 1 of pi((n - 1) // z^2).
-    The pi(x) are read off one segmented Eratosthenes sieve over the odd
-    numbers up to n - 1 (Bays & Hudson, BIT 17, 1977): the blocks of
-    PI2_BLOCK odd numbers are sieved in ascending order, in one reused bool
-    array, by the odd primes up to sqrt(n - 1), and each query is answered
-    in the block where it ends.  Memory is that one block; memory_cap
-    bounds the time."""
+    pi2(n) = sum over z >= 1 with 2 z^2 <= m = n - 1 of pi(m // z^2).
+    Every m // z^2 is one of the values m // k, and Legendre's recurrence
+    on exactly those values gives pi at all of them in O(n^(3/4)) time and
+    O(sqrt(n)) memory (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985):
+    S(v) starts as v - 1, and each prime p <= sqrt(m) in turn subtracts
+    S(v // p) - S(p - 1) from every S(v) with v >= p^2, which strikes the
+    numbers whose least prime factor is p.  small[v] holds S(v) for
+    v <= r = isqrt(m), large[k] holds S(m // k).  memory_cap bounds the
+    time."""
     if n > memory_cap:
-        raise BudgetExceeded(f"pi2 sieve limited to n <= {memory_cap}")
+        raise BudgetExceeded(f"pi2 limited to n <= {memory_cap}, which bounds its time")
     if n <= 2:
         return 0
     m = n - 1
-    root = isqrt(m)
-    base = np.ones((root + 1) // 2, dtype=bool)  # base[i]: 2i + 1 is prime
-    base[0] = False
-    for i in range(1, (isqrt(root) + 1) // 2):
-        if base[i]:
-            p = 2 * i + 1
-            base[p * p // 2 :: p] = False
-    primes = (2 * np.flatnonzero(base) + 1).tolist()
-    strike = [p * p // 2 for p in primes]  # next index of 2i + 1 to strike per prime
-    # the odd primes up to x = m // z^2 sit at the indices i < (x + 1) // 2;
-    # z runs down so that these query ends ascend
-    ends = [(m // (z * z) + 1) // 2 for z in range(isqrt(m // 2), 0, -1)]
-    size = (m + 1) // 2
-    block = np.empty(min(PI2_BLOCK, size), dtype=bool)
-    total = below = q = 0  # below: odd primes before the current block
-    for lo in range(0, size, PI2_BLOCK):
-        hi = min(lo + PI2_BLOCK, size)
-        seg = block[: hi - lo]
-        seg[:] = True
-        if lo == 0:
-            seg[0] = False
-        for j, p in enumerate(primes):
-            k = strike[j]
-            if k < hi:
-                seg[k - lo :: p] = False
-                strike[j] = k + (hi - k + p - 1) // p * p
-        # x = m // z^2 >= 2, so pi(x) counts the prime 2 plus the odd primes
-        while q < len(ends) and ends[q] <= hi:
-            total += 1 + below + int(np.count_nonzero(seg[: ends[q] - lo]))
-            q += 1
-        below += int(np.count_nonzero(seg))
-    return total
+    r = isqrt(m)
+    v = np.arange(r + 1)
+    small = v - 1
+    large = m // np.maximum(v, 1) - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is struck, so not prime
+        sp = small[p - 1]
+        # every right-hand side is read before its step writes, as the
+        # recurrence asks; m // (k p) is large[k p] while k p <= r
+        top = min(r, m // (p * p))
+        mid = min(top, r // p)
+        large[1 : mid + 1] -= large[p : mid * p + 1 : p] - sp
+        large[mid + 1 : top + 1] -= small[m // (v[mid + 1 : top + 1] * p)] - sp
+        small[p * p :] -= small[v[p * p :] // p] - sp
+    z2 = np.arange(1, isqrt(m // 2) + 1) ** 2
+    return int(large[z2[z2 <= r]].sum() + small[m // z2[z2 > r]].sum())
 
 
 def _pi2_brute(n: int) -> int:

@@ -199,3 +199,20 @@ def test_python_dash_m(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["x16class"] == x16class.__version__
     assert run("no-such-command").returncode == 3
+
+
+def test_census_into_closed_pipe(tmp_path):
+    """A reader that stops after one line (``| head -1``) ends the census
+    with exit 141 and no traceback, not with exit 1, which means a violation."""
+    env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "x16class", "census", "--height", "36"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert json.loads(first)["t_num"] == "-3"
+    assert "Traceback" not in stderr
+    assert code == 141, stderr

@@ -202,13 +202,16 @@ def test_pi2_counts():
         assert pi2_count(n) == count, n
         if n >= 2 and arith.is_probable_prime(arith.squarefree_part(n).d):
             count += 1
-    pinned = {10**4: 2459, 10**5: 18628, 10**6: 147677, 10**7: 1218118}
+    pinned = {
+        10**4: 2459, 10**5: 18628, 10**6: 147677, 10**7: 1218118,
+        5 * 10**7: 5423946, 10**8: 10359298,
+    }
     assert {n: pi2_count(n) for n in pinned} == pinned
 
 
 def _pi2_one_array(n: int) -> int:
     """pi2(n) from one bool sieve over all the odd numbers below n (n/2
-    bytes): the unsegmented form of pi2_count, kept as its oracle."""
+    bytes), kept as pi2_count's oracle."""
     if n <= 2:
         return 0
     m = n - 1
@@ -224,16 +227,18 @@ def _pi2_one_array(n: int) -> int:
     )
 
 
-def test_pi2_segments_match_one_array(monkeypatch):
-    """At the default block size, n = 2k * PI2_BLOCK + delta puts the last
-    odd number of a k-block sieve next to n - 1.  Blocks of 64 bring block
-    edges, queries that end on an edge and base primes wider than a block
-    to every small n."""
-    sizes = [2 * k * ecq.PI2_BLOCK + delta for k in (1, 2) for delta in range(-2, 4)]
+def test_pi2_segments_match_one_array():
+    """The recurrence against the one-array sieve on every small n, on the
+    twelve sizes 2k * 2^19 + delta, and where r = isqrt(n - 1) and the last
+    z with 2 z^2 <= n - 1 step up: n = k^2, 2k^2 and the two after each."""
+    sizes = [2 * k * (1 << 19) + delta for k in (1, 2) for delta in range(-2, 4)]
     assert [pi2_count(n) for n in sizes] == [_pi2_one_array(n) for n in sizes]
-    monkeypatch.setattr(ecq, "PI2_BLOCK", 64)
     for n in range(3000):
         assert pi2_count(n) == _pi2_one_array(n), n
+    for k in range(1, 400):
+        for edge in (k * k, 2 * k * k):
+            for n in range(edge, edge + 3):
+                assert pi2_count(n) == _pi2_one_array(n), n
 
 
 def test_pi2_memory_cap():
@@ -255,6 +260,16 @@ def test_pi2_peak_memory_is_one_block():
     tracemalloc.start()
     try:
         pi2_count(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**6
+
+
+def test_pi2_peak_memory_is_sqrt_n():
+    tracemalloc.start()
+    try:
+        pi2_count(ecq.PI2_MEMORY_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
