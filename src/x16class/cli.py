@@ -49,9 +49,15 @@ class Config:
     format: str = "jsonl"
 
     def __post_init__(self):
-        for name in ("trial_bound", "rho_iterations", "prime_rounds", "height_bound", "worker_count"):
+        counts = ("trial_bound", "rho_iterations", "prime_rounds", "height_bound", "worker_count")
+        for name in (*counts, "rng_seed"):
+            if type(getattr(self, name)) is not int:  # a JSON float or bool is not a count
+                raise ValueError(f"{name} must be an integer")
+        for name in counts:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError("output_path must be a string or null")
         if self.format not in ("jsonl", "csv"):
             raise ValueError("format must be jsonl or csv")
 

@@ -219,15 +219,18 @@ def _classify_pz2(
     return "untested", 0, 0
 
 
-def heuristic_search(
-    m_max: int, effort: FactorBudget = DEFAULT_BUDGET, value_bound: int = 10**12
-) -> list[HeuristicRecord]:
+# heuristic values up to this bound that factor completely are certified
+HEURISTIC_CERTIFIED_BOUND = 10**12
+
+
+def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[HeuristicRecord]:
     """Test 2(u^4+v^4) at the multiples m = 0..m_max of the generator.
 
-    Each value is factored once.  Values up to value_bound that factor
-    completely get certified verdicts; larger ones are reported as probable,
-    and a value whose factorization is incomplete is classified from its
-    probable-prime cofactor or reported untested, never silently dropped.
+    Each value is factored once.  Values up to HEURISTIC_CERTIFIED_BOUND
+    that factor completely get certified verdicts; larger ones are reported
+    as probable, and a value whose factorization is incomplete is classified
+    from its probable-prime cofactor or reported untested, never silently
+    dropped.
     Torsion translates and sign changes of m permute u and v signs only, so
     one representative per |m| suffices.
     """
@@ -240,7 +243,7 @@ def heuristic_search(
         q = weierstrass_to_quartic(P)
         n = 2 * (q.u**4 + q.v**4)
         f = arith.factor(n, effort)
-        status, p, z = _classify_pz2(f, n <= value_bound, effort)
+        status, p, z = _classify_pz2(f, n <= HEURISTIC_CERTIFIED_BOUND, effort)
         digits = len(str(p)) if p else 0
         out.append(HeuristicRecord(m, len(str(abs(q.u))), len(str(abs(q.v))), status, digits, z))
     return out
@@ -289,7 +292,7 @@ def section6_checks(rounds: int = 40) -> list[tuple[str, bool]]:
 PI2_MEMORY_CAP = 10**8
 
 
-def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
+def pi2_count(n: int) -> int:
     """Number of integers k in (0, n) of the form p z^2, p prime.
 
     Such a k determines p (its squarefree part) and z, so
@@ -300,10 +303,10 @@ def pi2_count(n: int, memory_cap: int = PI2_MEMORY_CAP) -> int:
     S(v) starts as v - 1, and each prime p <= sqrt(m) in turn subtracts
     S(v // p) - S(p - 1) from every S(v) with v >= p^2, which strikes the
     numbers whose least prime factor is p.  small[v] holds S(v) for
-    v <= r = isqrt(m), large[k] holds S(m // k).  memory_cap bounds the
-    time."""
-    if n > memory_cap:
-        raise BudgetExceeded(f"pi2 limited to n <= {memory_cap}, which bounds its time")
+    v <= r = isqrt(m), large[k] holds S(m // k).  PI2_MEMORY_CAP bounds
+    the time."""
+    if n > PI2_MEMORY_CAP:
+        raise BudgetExceeded(f"pi2 limited to n <= {PI2_MEMORY_CAP}, which bounds its time")
     if n <= 2:
         return 0
     m = n - 1

@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Callable, Optional
 
 from .errors import UnknownClaim
-from .poly import MPolyZ, UPolyNF, parse_prefix, verify_identity
+from .poly import MPolyZ, parse_prefix, verify_identity
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,16 @@ def _check_claim27() -> bool:
 def _check_g1g2() -> bool:
     """The degree-6 curve polynomial factors over Q(alpha) with
     alpha^3 - alpha^2 + 2 alpha + 2 = 0 as the product of the printed
-    quadratic and quartic."""
-    mp = (2, 2, -1, 1)  # alpha^3 - alpha^2 + 2 alpha + 2, constant first
-    g1 = UPolyNF.make(mp, [1, (-1, 1, -1), 1])  # 1 + (-1+a-a^2) z + z^2
-    c3 = (2, -1, 1)  # alpha^2 - alpha + 2
-    c2 = (3, -3, 1)  # alpha^2 - 3 alpha + 3
-    g2 = UPolyNF.make(mp, [1, c3, c2, c3, 1])
-    prod = g1 * g2
-    if not prod.is_rational():
-        return False
-    return prod.rational_coeffs() == (1, 1, 0, -5, 0, 1, 1)
+    quadratic and quartic.  Both factors lie in Z[alpha][z] = Z[a, z]/(m),
+    and the remainder on division by the monic m is unique, so the identity
+    holds exactly when the product's remainder is the sextic itself."""
+    a, z = MPolyZ.var("a"), MPolyZ.var("z")
+    g1 = z**2 + (-1 + a - a**2) * z + 1
+    c3 = a**2 - a + 2
+    c2 = a**2 - 3 * a + 3
+    g2 = z**4 + c3 * z**3 + c2 * z**2 + c3 * z + 1
+    m = a**3 - a**2 + 2 * a + 2
+    return (g1 * g2).rem_monic("a", m) == z**6 + z**5 - 5 * z**3 + z + 1
 
 
 # ---------------------------------------------------------------------------

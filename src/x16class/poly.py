@@ -1,20 +1,15 @@
-"""Exact sparse multivariate polynomials over Z and arithmetic in Q(alpha).
+"""Exact sparse multivariate polynomials over Z.
 
 MPolyZ is a dict from exponent vectors to integer coefficients with a fixed
 graded-lexicographic term order; this is all the computer algebra the
 identity suite needs (degree <= 8, <= 4 variables), so no modular tricks.
-
-NFElem/UPolyNF provide Q[x]/(m(x)) and univariate polynomials over it, used
-to multiply out the factorization of the hyperelliptic sextic over Q(alpha).
+Arithmetic in Z[alpha] = Z[a]/(m(a)), m monic, is MPolyZ arithmetic followed
+by one remainder step, rem_monic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Mapping, Sequence
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -138,15 +133,29 @@ class MPolyZ:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = Fraction(c)
-            for v, exp in zip(self.variables, e):
-                if exp:
-                    t *= Fraction(values[v]) ** exp
-            total += t
-        return total
+    def rem_monic(self, var: str, m: "MPolyZ") -> "MPolyZ":
+        """Remainder on division by m, monic in var with no other variables.
+
+        Each var^k with k >= n = deg m is rewritten through var^n = var^n - m,
+        highest k first, until every exponent of var is below n.  Over Z the
+        remainder on division by a monic m is unique, so two polynomials agree
+        modulo m exactly when their remainders are equal.
+        """
+        m = m.remap((var,))
+        n = m.degree()
+        if m.terms.get((n,)) != 1:
+            raise ValueError(f"{m} is not monic in {var}")
+        p = self._aligned(m)[0]
+        i = p.variables.index(var)
+        tail = [(e[0], -c) for e, c in m.terms.items() if e[0] < n]
+        terms = dict(p.terms)
+        for d in range(max((e[i] for e in terms), default=-1), n - 1, -1):
+            for e in [e for e in terms if e[i] == d]:
+                c = terms.pop(e)
+                for k, t in tail:
+                    f = e[:i] + (d - n + k,) + e[i + 1 :]
+                    terms[f] = terms.get(f, 0) + c * t
+        return MPolyZ(p.variables, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -233,184 +242,3 @@ def parse_prefix(text: str) -> MPolyZ:
     if pos != len(tokens):
         raise ValueError("trailing tokens")
     return result
-
-
-# ---------------------------------------------------------------------------
-# number field Q[x]/(m(x)) and univariate polynomials over it
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NFElem:
-    """Element of Q[x]/(m(x)) for a monic integer minimal polynomial m.
-
-    minpoly lists the coefficients of m from constant to leading 1;
-    coords are the rational coefficients of 1, alpha, ..., alpha^(n-1).
-    """
-
-    minpoly: tuple[int, ...]
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.minpoly) - 1
-        if self.minpoly[-1] != 1:
-            raise ValueError("minpoly must be monic")
-        if len(self.coords) != n:
-            raise ValueError("coords length must equal degree of minpoly")
-
-    @staticmethod
-    def make(minpoly: Sequence[int], coords: Sequence[Scalar]) -> "NFElem":
-        n = len(minpoly) - 1
-        cs = [Fraction(c) for c in coords]
-        cs += [Fraction(0)] * (n - len(cs))
-        return NFElem(tuple(minpoly), tuple(cs[:n]))
-
-    @staticmethod
-    def rational(minpoly: Sequence[int], q: Scalar) -> "NFElem":
-        return NFElem.make(minpoly, [Fraction(q)])
-
-    @staticmethod
-    def gen(minpoly: Sequence[int]) -> "NFElem":
-        return NFElem.make(minpoly, [0, 1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.minpoly) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other: "NFElem"):
-        if self.minpoly != other.minpoly:
-            raise ValueError("minpoly mismatch")
-
-    def __add__(self, other: "NFElem") -> "NFElem":
-        self._check(other)
-        return NFElem(self.minpoly, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "NFElem") -> "NFElem":
-        self._check(other)
-        return NFElem(self.minpoly, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "NFElem":
-        return NFElem(self.minpoly, tuple(-a for a in self.coords))
-
-    def __mul__(self, other: "NFElem") -> "NFElem":
-        self._check(other)
-        n = self.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        # reduce degrees >= n using x^n = -(m_0 + m_1 x + ... + m_{n-1}x^{n-1})
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = Fraction(0)
-            for i in range(n):
-                prod[k - n + i] -= c * self.minpoly[i]
-        return NFElem(self.minpoly, tuple(prod[:n]))
-
-    def inverse(self) -> "NFElem":
-        """Extended Euclid in Q[x] against the (irreducible) minpoly."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in number field")
-        # polynomials as coefficient lists, constant first
-        a = [Fraction(c) for c in self.minpoly]
-        b = list(self.coords)
-        while b and b[-1] == 0:
-            b.pop()
-        # invariants: s*self = b (mod minpoly)
-        s_prev: list[Fraction] = []
-        s_cur: list[Fraction] = [Fraction(1)]
-
-        def polydivmod(u, v):
-            u = list(u)
-            q = [Fraction(0)] * max(len(u) - len(v) + 1, 0)
-            while len(u) >= len(v) and any(u):
-                while u and u[-1] == 0:
-                    u.pop()
-                if len(u) < len(v):
-                    break
-                c = u[-1] / v[-1]
-                d = len(u) - len(v)
-                q[d] = c
-                for i, vc in enumerate(v):
-                    u[i + d] -= c * vc
-                u.pop()
-            return q, u
-
-        def polysub(u, v):
-            out = list(u) + [Fraction(0)] * max(0, len(v) - len(u))
-            for i, c in enumerate(v):
-                out[i] -= c
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        def polymul(u, v):
-            out = [Fraction(0)] * (len(u) + len(v) - 1) if u and v else []
-            for i, uc in enumerate(u):
-                if uc:
-                    for j, vc in enumerate(v):
-                        out[i + j] += uc * vc
-            return out
-
-        while b:
-            q, r = polydivmod(a, b)
-            a, b = b, r
-            while b and b[-1] == 0:
-                b.pop()
-            s_prev, s_cur = s_cur, polysub(s_prev, polymul(q, s_cur))
-        # now a = gcd (a nonzero constant since minpoly is irreducible)
-        if len(a) != 1:
-            raise ValueError("minpoly is not irreducible over Q")
-        inv = [c / a[0] for c in s_prev]
-        return NFElem.make(self.minpoly, inv)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class UPolyNF:
-    """Univariate polynomial over a shared number field, constant term first."""
-
-    minpoly: tuple[int, ...]
-    coeffs: tuple[NFElem, ...]
-
-    @staticmethod
-    def make(minpoly: Sequence[int], coeffs: Sequence) -> "UPolyNF":
-        mp = tuple(minpoly)
-        cs = []
-        for c in coeffs:
-            if isinstance(c, NFElem):
-                cs.append(c)
-            elif isinstance(c, (list, tuple)):
-                cs.append(NFElem.make(mp, c))
-            else:
-                cs.append(NFElem.rational(mp, c))
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
-        return UPolyNF(mp, tuple(cs))
-
-    def __mul__(self, other: "UPolyNF") -> "UPolyNF":
-        if self.minpoly != other.minpoly:
-            raise ValueError("minpoly mismatch")
-        zero = NFElem.rational(self.minpoly, 0)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPolyNF.make(self.minpoly, out)
-
-    def is_rational(self) -> bool:
-        return all(all(c == 0 for c in e.coords[1:]) for e in self.coeffs)
-
-    def rational_coeffs(self) -> tuple[Fraction, ...]:
-        if not self.is_rational():
-            raise ValueError("polynomial has irrational coefficients")
-        return tuple(e.coords[0] for e in self.coeffs)

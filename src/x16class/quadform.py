@@ -12,8 +12,8 @@ serves as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -326,15 +326,17 @@ class ClassGroup:
     disc: int
     reduced_forms: list[QuadForm]
     h: int
-    elementary_divisors: list[int] = field(default_factory=list)
+
+    @cached_property
+    def elementary_divisors(self) -> list[int]:
+        """Computed on first read: it costs a form power per class and prime."""
+        return group_structure(self)
 
 
 def class_group(disc: int) -> ClassGroup:
     _check_fundamental_disc(disc)
     forms = enumerate_reduced(disc)
-    cg = ClassGroup(disc, forms, len(forms))
-    cg.elementary_divisors = group_structure(cg)
-    return cg
+    return ClassGroup(disc, forms, len(forms))
 
 
 def form_order(f: QuadForm, h: int) -> int:

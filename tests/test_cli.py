@@ -14,12 +14,29 @@ from x16class import cli
 from x16class.cli import Config, load_config, main
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     assert Config().format == "jsonl"
     with pytest.raises(ValueError):
         Config(trial_bound=0)
     with pytest.raises(ValueError):
         Config(format="xml")
+    for bad in (
+        {"height_bound": 2.5},
+        {"worker_count": 1.5},
+        {"prime_rounds": 2.5},
+        {"worker_count": True},
+        {"trial_bound": "100"},
+        {"rng_seed": 1.0},
+        {"rng_seed": False},
+        {"output_path": 7},
+    ):
+        with pytest.raises(ValueError):
+            Config(**bad)
+    assert Config(rng_seed=-5, output_path="out.jsonl").rng_seed == -5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"prime_rounds": 2.5}))
+    assert main(["--config", str(path), "factor", "12"]) == 3
+    assert "bad configuration" in capsys.readouterr().err
 
 
 def test_config_from_file_and_env(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """The dependencies declared in pyproject.toml are exactly the third-party
-modules the package imports: none missing, none declared that never runs."""
+modules the package imports: none missing, none declared that never runs.
+The benchmark's span tracer finds every library name it wraps."""
 
+import importlib.util
 import json
 import os
 import re
@@ -45,3 +47,12 @@ def test_version_matches_pyproject():
     import x16class
 
     assert x16class.__version__ == PROJECT["version"]
+
+
+def test_benchmark_wrapped_names_resolve():
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _ in spans.WRAPPED:
+        module = importlib.import_module(f"x16class.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)

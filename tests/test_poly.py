@@ -1,17 +1,10 @@
-"""Exact polynomial arithmetic over Z and over the cubic field."""
+"""Exact polynomial arithmetic over Z and modulo a monic polynomial."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from x16class.poly import (
-    MPolyZ,
-    NFElem,
-    UPolyNF,
-    parse_prefix,
-    verify_identity,
-)
+from x16class.poly import MPolyZ, parse_prefix, verify_identity
 
 
 def _random_poly(rng, variables=("r", "s"), max_terms=5, max_deg=4):
@@ -40,7 +33,6 @@ def test_power_and_evaluate():
     r, s = MPolyZ.var("r"), MPolyZ.var("s")
     p = (r + s) ** 3
     assert p == r**3 + 3 * r**2 * s + 3 * r * s**2 + s**3
-    assert p.evaluate({"r": 2, "s": Fraction(1, 2)}) == Fraction(125, 8)
 
 
 def test_mixed_variable_alignment():
@@ -73,32 +65,25 @@ def test_verify_identity():
     assert not verify_identity(lhs, rhs + 1)
 
 
-MP = (2, 2, -1, 1)  # alpha^3 - alpha^2 + 2 alpha + 2
-
-
-def test_nfelem_arithmetic():
-    a = NFElem.gen(MP)
-    # alpha^3 = alpha^2 - 2 alpha - 2
-    assert a * a * a == NFElem.make(MP, [-2, -2, 1])
-    x = NFElem.make(MP, [Fraction(1, 2), 3, -1])
-    assert x * x.inverse() == NFElem.rational(MP, 1)
-    assert (x + a) - a == x
-
-
-def test_nfelem_inverse_randomized():
-    rng = random.Random(11)
-    one = NFElem.rational(MP, 1)
-    for _ in range(100):
-        coords = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3)]
-        x = NFElem.make(MP, coords)
-        if x.is_zero():
-            continue
-        assert x * x.inverse() == one
-
-
-def test_upoly_product_is_the_sextic():
-    g1 = UPolyNF.make(MP, [1, (-1, 1, -1), 1])
-    g2 = UPolyNF.make(MP, [1, (2, -1, 1), (3, -3, 1), (2, -1, 1), 1])
-    prod = g1 * g2
-    assert prod.is_rational()
-    assert prod.rational_coeffs() == (1, 1, 0, -5, 0, 1, 1)
+def test_rem_monic_product_is_the_sextic():
+    a, z = MPolyZ.var("a"), MPolyZ.var("z")
+    m = a**3 - a**2 + 2 * a + 2
+    assert (a**3).rem_monic("a", m) == a**2 - 2 * a - 2
+    g1 = z**2 + (-1 + a - a**2) * z + 1
+    c3, c2 = a**2 - a + 2, a**2 - 3 * a + 3
+    sextic = z**6 + z**5 - 5 * z**3 + z + 1
+    assert (g1 * (z**4 + c3 * z**3 + c2 * z**2 + c3 * z + 1)).rem_monic("a", m) == sextic
+    # one perturbed coefficient of g2 and the product is no longer the sextic
+    for g2 in (
+        z**4 + c3 * z**3 + (c2 + 1) * z**2 + c3 * z + 1,
+        z**4 + (c3 + a) * z**3 + c2 * z**2 + c3 * z + 1,
+    ):
+        assert (g1 * g2).rem_monic("a", m) != sextic
+    with pytest.raises(ValueError):
+        a.rem_monic("a", 2 * a**3 + 1)
+    # the remainder of q m + r with deg_a r < 3 is r
+    rng = random.Random(13)
+    for _ in range(200):
+        q = _random_poly(rng, ("a", "z"))
+        r = MPolyZ(("a", "z"), {(i, j): rng.randrange(-9, 10) for i in range(3) for j in range(3)})
+        assert (q * m + r).rem_monic("a", m) == r
