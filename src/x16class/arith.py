@@ -2,7 +2,9 @@
 
 Everything downstream (form enumeration, ideal factorization, the height
 census) sits on these primitives, so they are kept exact and deterministic:
-randomized subroutines draw from an RNG seeded through the effort budget.
+Brent rho draws from an RNG seeded through the effort budget.  Primality is
+deterministic Miller-Rabin below _DETERMINISTIC_BOUND and BPSW above it;
+``rounds`` adds random-base Miller-Rabin rounds after BPSW.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class FactorBudget:
 
     trial_bound: int = 10_000
     rho_iterations: int = 500_000
-    prime_rounds: int = 40
     rng_seed: int = 1
 
     def rng(self) -> random.Random:
@@ -75,8 +76,61 @@ class FactoredInt:
         return ("-" if self.sign < 0 else "") + body
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = None) -> bool:
-    """Miller-Rabin; deterministic below _DETERMINISTIC_BOUND."""
+def _strong_mr(n: int, a: int, d: int, s: int) -> bool:
+    """One strong Miller-Rabin round to base a, for odd n - 1 = d * 2^s."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2 with Selfridge's
+    parameters (method A): D is the first of 5, -7, 9, -11, ... with
+    (D|n) = -1, P = 1 and Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = -1 exists
+    D = 5
+    while True:
+        j = kronecker(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # U_k, V_k and Q^k for the prefixes k of d's binary expansion
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_probable_prime(n: int, rounds: int = 0) -> bool:
+    """Deterministic Miller-Rabin below _DETERMINISTIC_BOUND, BPSW above
+    (one strong round to base 2, then a strong Lucas test); ``rounds`` adds
+    random-base Miller-Rabin rounds after BPSW, seeded from n, as GMP's
+    mpz_probab_prime_p does.  No composite is known to pass BPSW."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -90,22 +144,11 @@ def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = N
         d //= 2
         s += 1
     if n < _DETERMINISTIC_BOUND:
-        witnesses = _DETERMINISTIC_WITNESSES
-    else:
-        if rng is None:
-            rng = random.Random(n & 0xFFFFFFFF)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        return all(_strong_mr(n, a, d, s) for a in _DETERMINISTIC_WITNESSES)
+    if not (_strong_mr(n, 2, d, s) and _strong_lucas(n)):
+        return False
+    rng = random.Random(n)
+    return all(_strong_mr(n, rng.randrange(2, n - 1), d, s) for _ in range(rounds))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -205,9 +248,7 @@ def factor(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         m = stack.pop()
         if m == 1:
             continue
-        if m <= effort.trial_bound * effort.trial_bound or is_probable_prime(
-            m, effort.prime_rounds, rng
-        ):
+        if m <= effort.trial_bound * effort.trial_bound or is_probable_prime(m):
             # below trial_bound^2 an unfactored survivor of trial division
             # is prime
             found[m] = found.get(m, 0) + 1

@@ -41,7 +41,6 @@ EXIT_PIPE = 141
 class Config:
     trial_bound: int = 10000
     rho_iterations: int = 500000
-    prime_rounds: int = 40
     rng_seed: int = 1
     height_bound: int = 50
     worker_count: int = 1
@@ -49,7 +48,7 @@ class Config:
     format: str = "jsonl"
 
     def __post_init__(self):
-        counts = ("trial_bound", "rho_iterations", "prime_rounds", "height_bound", "worker_count")
+        counts = ("trial_bound", "rho_iterations", "height_bound", "worker_count")
         for name in (*counts, "rng_seed"):
             if type(getattr(self, name)) is not int:  # a JSON float or bool is not a count
                 raise ValueError(f"{name} must be an integer")
@@ -62,7 +61,7 @@ class Config:
             raise ValueError("format must be jsonl or csv")
 
     def budget(self) -> FactorBudget:
-        return FactorBudget(self.trial_bound, self.rho_iterations, self.prime_rounds, self.rng_seed)
+        return FactorBudget(self.trial_bound, self.rho_iterations, self.rng_seed)
 
 
 def load_config(path: Optional[str] = None) -> Config:
@@ -247,7 +246,7 @@ def _report_checks(checks: list[tuple[str, bool]]) -> int:
 
 
 def _cmd_verify_example6(args, cfg: Config) -> int:
-    return _report_checks(ecq.section6_checks(cfg.prime_rounds))
+    return _report_checks(ecq.section6_checks())
 
 
 def _cmd_verify_lemmas(args, cfg: Config) -> int:

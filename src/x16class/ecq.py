@@ -198,9 +198,7 @@ class HeuristicRecord:
         return self.status.startswith("hit")
 
 
-def _classify_pz2(
-    f: arith.FactoredInt, certified: bool, effort: FactorBudget
-) -> tuple[str, int, int]:
+def _classify_pz2(f: arith.FactoredInt, certified: bool) -> tuple[str, int, int]:
     """(status, p, z) for n = f.value() > 0: is n a prime p times z^2?
 
     Complete factorizations are decided, as certified or probable hits;
@@ -214,7 +212,7 @@ def _classify_pz2(
         if len(odd) == 1:
             return ("hit_certified" if certified else "hit_probable"), odd[0], z
         return "non_hit", 0, 0
-    if arith.is_probable_prime(f.cofactor, effort.prime_rounds):
+    if arith.is_probable_prime(f.cofactor):
         return ("non_hit", 0, 0) if odd else ("hit_probable", f.cofactor, z)
     return "untested", 0, 0
 
@@ -243,7 +241,7 @@ def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[
         q = weierstrass_to_quartic(P)
         n = 2 * (q.u**4 + q.v**4)
         f = arith.factor(n, effort)
-        status, p, z = _classify_pz2(f, n <= HEURISTIC_CERTIFIED_BOUND, effort)
+        status, p, z = _classify_pz2(f, n <= HEURISTIC_CERTIFIED_BOUND)
         digits = len(str(p)) if p else 0
         out.append(HeuristicRecord(m, len(str(abs(q.u))), len(str(abs(q.v))), status, digits, z))
     return out
@@ -262,8 +260,9 @@ EXAMPLE6_Y = 2 * int(
 EXAMPLE6_Z = 2
 
 
-def section6_checks(rounds: int = 40) -> list[tuple[str, bool]]:
-    """Each sub-check of the pinned example, by name."""
+def section6_checks(rounds: int = 0) -> list[tuple[str, bool]]:
+    """Each sub-check of the pinned example, by name.  p is a BPSW probable
+    prime; ``rounds`` adds random-base Miller-Rabin rounds."""
     u, v, y, z = EXAMPLE6_U, EXAMPLE6_V, EXAMPLE6_Y, EXAMPLE6_Z
     r, s = u * u, v * v
     h1 = r * r + s * s

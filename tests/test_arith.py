@@ -1,5 +1,6 @@
 """Integer arithmetic: factoring, primality, squarefree parts, modular roots."""
 
+import math
 import random
 
 import pytest
@@ -64,8 +65,84 @@ def test_factor_incomplete_within_budget():
 def test_is_probable_prime():
     assert arith.is_probable_prime(2) and arith.is_probable_prime(3)
     assert not arith.is_probable_prime(1) and not arith.is_probable_prime(561)
-    assert arith.is_probable_prime(2**89 - 1)
-    assert not arith.is_probable_prime((2**89 - 1) * (2**107 - 1))
+    m89, m107 = 2**89 - 1, 2**107 - 1
+    assert m89 > arith._DETERMINISTIC_BOUND  # every case below takes the BPSW path
+    assert arith.is_probable_prime(m89) and arith.is_probable_prime(m89, rounds=3)
+    assert not arith.is_probable_prime(m89 * m107)
+    assert not arith.is_probable_prime(m89**2)
+    assert not arith._strong_lucas(m89**2)  # a square has no D with (D|n) = -1
+    assert not arith._strong_lucas(5 * m89)  # (5|n) = 0 with n != 5
+    # a composite Mersenne number 2^q - 1 (q prime) is a strong base-2
+    # pseudoprime, so above the bound only the Lucas half rejects it
+    m83 = 2**83 - 1  # 167 * 57912614113275649087721
+    assert _strong_mr_base2(m83) and not arith.is_probable_prime(m83)
+
+
+# OEIS A217255: strong Lucas pseudoprimes for Selfridge's parameters
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
+# OEIS A001262: strong pseudoprimes to base 2
+STRONG_BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633)
+
+
+def _strong_mr_base2(n):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return arith._strong_mr(n, 2, d, s)
+
+
+def test_bpsw_halves_against_known_pseudoprimes():
+    # each half of BPSW is fooled by its own pseudoprimes, never by the other's
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert arith._strong_lucas(n) and not _strong_mr_base2(n), n
+    for n in STRONG_BASE2_PSEUDOPRIMES:
+        assert _strong_mr_base2(n) and not arith._strong_lucas(n), n
+    # the Lucas helper passes every odd prime, including n = 5 and 7, where
+    # the search meets |D| = n with (D|n) = 0
+    for n in range(5, 2000, 2):
+        assert arith._strong_lucas(n) == all(n % q for q in range(3, math.isqrt(n) + 1, 2)), n
+
+
+def test_is_probable_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10)
+    for _ in range(150):
+        bits = rng.randrange(82, 2049)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert arith.is_probable_prime(n) == sympy.isprime(n), n
+    for _ in range(40):
+        p = sympy.nextprime(rng.getrandbits(rng.randrange(82, 513)))
+        q = sympy.nextprime(rng.getrandbits(rng.randrange(20, 513)))
+        assert arith.is_probable_prime(p), p
+        assert not arith.is_probable_prime(p * q), (p, q)
+
+
+def _fuzz_composites(rng, nextprime):
+    """Perfect powers and products of medium primes times a prime above 2^81."""
+    for _ in range(12):
+        big = nextprime(rng.getrandbits(rng.randrange(82, 200)))
+        medium = [nextprime(rng.getrandbits(rng.randrange(15, 31))) for _ in range(rng.randrange(1, 4))]
+        yield big ** rng.randrange(2, 5)
+        yield (medium[0] * big) ** 2
+        yield math.prod(medium) * big
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in _fuzz_composites(random.Random(11), sympy.nextprime):
+        f = arith.factor(n)
+        assert f.complete and f.value() == n, n
+        assert all(sympy.isprime(p) for p in f.primes()), f
+
+
+def test_factor_is_seed_independent():
+    sympy = pytest.importorskip("sympy")
+    for n in _fuzz_composites(random.Random(12), sympy.nextprime):
+        results = {arith.factor(n, FactorBudget(rng_seed=k)) for k in range(1, 6)}
+        assert len(results) == 1, n
 
 
 def test_squarefree_part():

@@ -23,7 +23,7 @@ def test_config_validation(tmp_path, capsys):
     for bad in (
         {"height_bound": 2.5},
         {"worker_count": 1.5},
-        {"prime_rounds": 2.5},
+        {"rho_iterations": 2.5},
         {"worker_count": True},
         {"trial_bound": "100"},
         {"rng_seed": 1.0},
@@ -34,7 +34,11 @@ def test_config_validation(tmp_path, capsys):
             Config(**bad)
     assert Config(rng_seed=-5, output_path="out.jsonl").rng_seed == -5
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"prime_rounds": 2.5}))
+    path.write_text(json.dumps({"rho_iterations": 2.5}))
+    assert main(["--config", str(path), "factor", "12"]) == 3
+    assert "bad configuration" in capsys.readouterr().err
+    # the primality test has no round count to configure
+    path.write_text(json.dumps({"prime_rounds": 40}))
     assert main(["--config", str(path), "factor", "12"]) == 3
     assert "bad configuration" in capsys.readouterr().err
 

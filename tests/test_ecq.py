@@ -143,7 +143,7 @@ def test_height_growth_is_quadratic_in_m():
 
 def test_pz2():
     def classify(f, certified=True):
-        return ecq._classify_pz2(f, certified, arith.DEFAULT_BUDGET)
+        return ecq._classify_pz2(f, certified)
 
     assert classify(arith.factor(164)) == ("hit_certified", 41, 2)  # 164 = 41 * 2^2
     assert classify(arith.factor(164), False) == ("hit_probable", 41, 2)
