@@ -18,7 +18,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -135,14 +135,11 @@ def _int_at_least(low: int):
 
 def _cmd_factor(args, cfg: Config) -> int:
     f = arith.factor(args.n, cfg.budget())
-    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
-    sign = "-" if f.sign < 0 else ""
-    body = " * ".join(parts) if parts else "1"
-    if not f.complete:
-        print(f"{args.n} = {sign}{body} * C where C = {f.cofactor} (incomplete)")
-        return EXIT_BUDGET
-    print(f"{args.n} = {sign}{body}")
-    return EXIT_OK
+    if f.complete:
+        print(f"{args.n} = {f}")
+        return EXIT_OK
+    print(f"{args.n} = {replace(f, cofactor=None)} * C where C = {f.cofactor} (incomplete)")
+    return EXIT_BUDGET
 
 
 def _cmd_classgroup(args, cfg: Config) -> int:
@@ -265,7 +262,7 @@ def _cmd_heuristic(args, cfg: Config) -> int:
                     "p_digits": r.p_digits,
                     "z": _s(r.z),
                     "status": r.status,
-                    "certified": r.status == "hit_certified",
+                    "certified": r.status in ("hit_certified", "non_hit"),
                 }
             )
     hits = sum(1 for r in records if r.is_hit)

@@ -18,38 +18,31 @@ import numpy as np
 
 from . import arith
 from .arith import FactorBudget, DEFAULT_BUDGET
-from .errors import BudgetExceeded, IncompleteFactorization, NotOnCurve
+from .errors import BudgetExceeded, NotOnCurve
 
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    a1: Fraction
+    """y^2 = x^3 + a2 x^2 + a4 x + a6."""
+
     a2: Fraction
-    a3: Fraction
     a4: Fraction
     a6: Fraction
 
     @staticmethod
-    def make(a1=0, a2=0, a3=0, a4=0, a6=0) -> "WeierstrassCurve":
-        c = WeierstrassCurve(
-            Fraction(a1), Fraction(a2), Fraction(a3), Fraction(a4), Fraction(a6)
-        )
+    def make(a2=0, a4=0, a6=0) -> "WeierstrassCurve":
+        c = WeierstrassCurve(Fraction(a2), Fraction(a4), Fraction(a6))
         if c.discriminant() == 0:
             raise ValueError("singular curve")
         return c
 
     def discriminant(self) -> Fraction:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        a2, a4, a6 = self.a2, self.a4, self.a6
+        b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        return y * y == x**3 + self.a2 * x * x + self.a4 * x + self.a6
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,7 @@ class ECPoint:
     def __neg__(self) -> "ECPoint":
         if self.is_infinity:
             return self
-        c = self.curve
-        return ECPoint(c, self.x, -self.y - c.a1 * self.x - c.a3)
+        return ECPoint(self.curve, self.x, -self.y)
 
 
 def ec_add(P: ECPoint, Q: ECPoint) -> ECPoint:
@@ -89,16 +81,14 @@ def ec_add(P: ECPoint, Q: ECPoint) -> ECPoint:
         return P
     c = P.curve
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if x1 == x2 and y2 == -y1 - c.a1 * x1 - c.a3:
+    if x1 == x2 and y2 == -y1:
         return ECPoint.infinity(c)
     if x1 == x2:
-        lam = (3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1) / (
-            2 * y1 + c.a1 * x1 + c.a3
-        )
+        lam = (3 * x1 * x1 + 2 * c.a2 * x1 + c.a4) / (2 * y1)
     else:
         lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
-    y3 = lam * (x1 - x3) - y1 - c.a1 * x3 - c.a3
+    x3 = lam * lam - c.a2 - x1 - x2
+    y3 = lam * (x1 - x3) - y1
     return ECPoint(c, x3, y3)
 
 
@@ -201,19 +191,32 @@ class HeuristicRecord:
 def _classify_pz2(f: arith.FactoredInt, certified: bool) -> tuple[str, int, int]:
     """(status, p, z) for n = f.value() > 0: is n a prime p times z^2?
 
-    Complete factorizations are decided, as certified or probable hits;
-    with a cofactor C left, n is a probable hit only when C is a probable
-    prime and every other prime appears to an even power."""
-    odd = [p for p, e in f.factors if e % 2]
+    n = p z^2 exactly when the squarefree part of n is one prime, so
+    exponent parity decides most values without a primality test.  The
+    cofactor C (1 when f is complete) is first made coprime to the found
+    primes, whose exponents absorb what it held of them.  Then n is a hit
+    when one found prime has odd exponent and C is a square, and a non-hit
+    when two or more have, when one has and C is not a square, or when none
+    has and C is a square.  Otherwise n is a probable hit when C is a
+    probable prime, and untested when it is not."""
+    exps = dict(f.factors)
+    C = f.cofactor or 1
+    for p in exps:
+        while C % p == 0:
+            C //= p
+            exps[p] += 1
+    odd = [p for p, e in exps.items() if e % 2]
     z = 1
-    for p, e in f.factors:
+    for p, e in exps.items():
         z *= p ** (e // 2)
-    if f.complete:
-        if len(odd) == 1:
-            return ("hit_certified" if certified else "hit_probable"), odd[0], z
+    c_root = isqrt(C)
+    c_square = c_root * c_root == C
+    if len(odd) == 1 and c_square:
+        return ("hit_certified" if certified else "hit_probable"), odd[0], z * c_root
+    if odd or c_square:
         return "non_hit", 0, 0
-    if arith.is_probable_prime(f.cofactor):
-        return ("non_hit", 0, 0) if odd else ("hit_probable", f.cofactor, z)
+    if arith.is_probable_prime(C):
+        return "hit_probable", C, z
     return "untested", 0, 0
 
 
@@ -224,11 +227,11 @@ HEURISTIC_CERTIFIED_BOUND = 10**12
 def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[HeuristicRecord]:
     """Test 2(u^4+v^4) at the multiples m = 0..m_max of the generator.
 
-    Each value is factored once.  Values up to HEURISTIC_CERTIFIED_BOUND
-    that factor completely get certified verdicts; larger ones are reported
-    as probable, and a value whose factorization is incomplete is classified
-    from its probable-prime cofactor or reported untested, never silently
-    dropped.
+    Each value is factored once and classified by _classify_pz2.  Hits up
+    to HEURISTIC_CERTIFIED_BOUND are certified, larger ones are reported as
+    probable; a non-hit rests on exponent parity alone.  A value that parity
+    leaves open and whose cofactor is not a probable prime is reported
+    untested, never silently dropped.
     Torsion translates and sign changes of m permute u and v signs only, so
     one representative per |m| suffices.
     """

@@ -1,8 +1,9 @@
 """The modular-curve-specific pipeline.
 
-f16(x) = x(x^2+1)(x^2+2x-1) defines the hyperelliptic model; a rational
-non-cusp t with f16(t) < 0 gives a quadratic point over Q(sqrt(d)) where d
-is the squarefree part of f16(t).  The function
+f16(x) = x(x^2+1)(x^2+2x-1) defines the hyperelliptic model.  A rational
+non-cusp t = r/s in lowest terms with f16(t) < 0 gives a quadratic point
+over Q(sqrt(d)), where h16(r, s) = s^6 f16(r/s) = d m^2 with d squarefree;
+the census works with these integers.  The function
 
     g(x, y) = (A(x) y + B(x)) / (x-1)^5,
     A = -6x^2-4x+2,  B = x^5+13x^4-2x^3+10x^2-7x+1,
@@ -48,10 +49,6 @@ def h16_homogeneous(r, s):
     return r * s * (r * r + s * s) * (r * r + 2 * r * s - s * s)
 
 
-def f16_eval(t: Fraction) -> Fraction:
-    return h16_homogeneous(Fraction(t), 1)
-
-
 def _a_h(r, s):
     return -6 * r * r - 4 * r * s + 2 * s * s
 
@@ -67,10 +64,13 @@ CUSPS = (Fraction(0), Fraction(1), Fraction(-1))
 
 @dataclass(frozen=True)
 class X16Point:
+    """The parameter t = r/s in lowest terms (s > 0) with h16(r, s) = d m^2,
+    d squarefree: the point (t, m/s^3 sqrt(d)) over Q(sqrt(d)).  Cusps carry
+    d = 1, m = 0."""
+
     t: Fraction
-    fval: Fraction
-    d: int  # squarefree field constant; fval = d * mrat^2 (1 when rational)
-    mrat: Fraction
+    d: int
+    m: int
     cusp: bool
     fd: Optional[arith.FactoredInt] = None  # factorisation of d
 
@@ -82,15 +82,10 @@ class X16Point:
 
 def point_from_t(t: Fraction, effort: FactorBudget = DEFAULT_BUDGET) -> X16Point:
     t = Fraction(t)
-    fval = f16_eval(t)
     if t in CUSPS:
-        return X16Point(t, fval, 1, Fraction(0), True)
-    # fval = n/q in lowest terms = (n*q)/q^2, so d = squarefree part of n*q
-    n, q = fval.numerator, fval.denominator
-    sf = arith.squarefree_part(n * q, effort)
-    mrat = Fraction(sf.m, q)
-    assert fval == sf.d * mrat * mrat
-    return X16Point(t, fval, sf.d, mrat, False, sf.fd)
+        return X16Point(t, 1, 0, True)
+    sf = arith.squarefree_part(h16_homogeneous(t.numerator, t.denominator), effort)
+    return X16Point(t, sf.d, sf.m, False, sf.fd)
 
 
 def _check_pullback_point(p: X16Point):
@@ -107,12 +102,12 @@ def g_eval(p: X16Point) -> QFieldElem:
     _check_pullback_point(p)
     t = p.t
     A, B, den = _a_h(t, 1), _b_h(t, 1), (t - 1) ** 5
-    disc = arith.fundamental_discriminant(p.d)
-    # y = mrat * sqrt(d); sqrt(d) = sqrt(disc) (disc odd) or sqrt(disc)/2
-    vcoef = A * p.mrat / den
-    if disc != p.d:
+    D = p.disc
+    # y = m/s^3 sqrt(d); sqrt(d) = sqrt(D) (D odd) or sqrt(D)/2
+    vcoef = A * Fraction(p.m, t.denominator**3) / den
+    if D != p.d:
         vcoef /= 2
-    return QFieldElem.make(disc, B / den, vcoef)
+    return QFieldElem.make(D, B / den, vcoef)
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ class PullbackResult:
 def cl5_pullback(p: X16Point) -> PullbackResult:
     """Fifth-root ideal class of (g(P)) and its order (1 or 5).
 
-    Write t = r/s (s > 0) and h16(r, s) = d m^2 with m = mrat s^3.  Then
+    Write t = r/s (s > 0) and h16(r, s) = d m^2 as carried by p.  Then
     g(P) = alpha/(r-s)^5 with alpha = B_h + A_h m sqrt(d), and over the
     field discriminant D, alpha = (x + y sqrt(D))/2 with x = 2 B_h and
     y = 2 A_h m (D = d) or A_h m (D = 4d).  The class is that of the fifth
@@ -156,9 +151,7 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
     """
     _check_pullback_point(p)
     r, s = p.t.numerator, p.t.denominator
-    m = p.mrat * s**3
-    assert m.denominator == 1, "h16(r, s) = d m^2 needs an integer m"
-    a_m = _a_h(r, s) * m.numerator
+    a_m = _a_h(r, s) * p.m
     D = p.disc
     x, y = 2 * _b_h(r, s), 2 * a_m if D == p.d else a_m
     M = abs(r - s)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, configuration, and output files."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -55,13 +56,20 @@ def test_config_from_file_and_env(tmp_path, monkeypatch):
 
 
 def test_factor_exit_codes(capsys, tmp_path):
+    """Both output lines print the factorisation as FactoredInt does; the
+    incomplete one names the cofactor C after the primes found."""
     assert main(["factor", "8120"]) == 0
-    assert "2^3 * 5 * 7 * 29" in capsys.readouterr().out
+    assert capsys.readouterr().out == "8120 = 2^3 * 5 * 7 * 29\n"
+    assert main(["factor", "--", "-360"]) == 0
+    assert capsys.readouterr().out == "-360 = -2^3 * 3^2 * 5\n"
     # a budget too small to split a product of two large primes
     cfgpath = tmp_path / "small.json"
     cfgpath.write_text(json.dumps({"trial_bound": 100, "rho_iterations": 1000}))
     n = (2**89 - 1) * (2**107 - 1)
     assert main(["--config", str(cfgpath), "factor", str(n)]) == 2
+    assert capsys.readouterr().out == f"{n} = 1 * C where C = {n} (incomplete)\n"
+    assert main(["--config", str(cfgpath), "factor", "--", str(-12 * n)]) == 2
+    assert capsys.readouterr().out == f"{-12 * n} = -2^2 * 3 * C where C = {n} (incomplete)\n"
 
 
 def test_classgroup(capsys):
@@ -107,6 +115,20 @@ def test_census_pool_matches_serial(tmp_path, capsys, config, height, code):
     assert outputs[0] == outputs[1]
     summary = json.loads(outputs[0].splitlines()[-1])
     assert len(summary["errors"]) == (88 if code else 0)
+
+
+@pytest.mark.parametrize(
+    "height, sha256",
+    [
+        (36, "a20f2c4dfb548c1253745250b95d90637e54ffd85ce3e6c44d18acc8422de2f4"),
+        (50, "165b701784c1ae4eed7432df14ace5111a17880e7b2eaf774515704a76da3d1b"),
+    ],
+)
+def test_census_jsonl_pinned(tmp_path, capsys, height, sha256):
+    """The census output under the default configuration, byte for byte."""
+    out = tmp_path / "census.jsonl"
+    assert main(["census", "--height", str(height), "--jsonl", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_census_csv_matches_jsonl(tmp_path, capsys):
@@ -174,6 +196,7 @@ def test_heuristic(tmp_path):
     recs = [json.loads(l) for l in out.read_text().splitlines()]
     assert [r["m"] for r in recs] == [0, 1, 2, 3, 4]
     assert recs[1]["certified"] and recs[1]["p_digits"] == 2
+    assert recs[0]["status"] == "non_hit" and recs[0]["certified"]  # 4 = 2^2
     assert main(["heuristic", "--mmax", "0", "--jsonl", str(out)]) == 0
     assert [json.loads(l)["m"] for l in out.read_text().splitlines()] == [0]
     assert main(["heuristic", "--mmax", "-1"]) == 3

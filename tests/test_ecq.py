@@ -150,13 +150,25 @@ def test_pz2():
     assert classify(arith.factor(4)) == ("non_hit", 0, 0)  # squarefree part 1
     assert classify(arith.factor(12)) == ("hit_certified", 3, 2)
     assert classify(arith.factor(30)) == ("non_hit", 0, 0)  # 30 squarefree composite
-    # an incomplete factorization is decided only by a probable-prime cofactor
+    # with a cofactor C left, exponent parity decides first, and a C that
+    # parity leaves open is decided only when it is a probable prime
     assert classify(arith.FactoredInt(1, ((2, 2),), 41)) == ("hit_probable", 41, 2)
     assert classify(arith.FactoredInt(1, ((2, 1),), 41)) == ("non_hit", 0, 0)
     assert classify(arith.FactoredInt(1, ((2, 2),), 10007 * 10009)) == ("untested", 0, 0)
+    assert classify(arith.FactoredInt(1, ((3, 1),), 10007 * 10009)) == ("non_hit", 0, 0)
+    assert classify(arith.FactoredInt(1, ((3, 1), (5, 3)), 10007 * 10009)) == ("non_hit", 0, 0)
+    assert classify(arith.FactoredInt(1, ((3, 1),), 10007**2)) == ("hit_certified", 3, 10007)
+    assert classify(arith.FactoredInt(1, ((3, 2),), 10007**2)) == ("non_hit", 0, 0)
+    # C may still hold a found prime: 41 * 41^2 = 41^3 is 41 * 41^2
+    assert classify(arith.FactoredInt(1, ((41, 1),), 41**2)) == ("hit_certified", 41, 41)
+    assert classify(arith.FactoredInt(1, ((41, 1),), 41 * 10007)) == ("hit_probable", 10007, 41)
+    assert classify(arith.FactoredInt(1, ((41, 2),), 41 * 10007)) == ("non_hit", 0, 0)
 
 
-def test_heuristic_factors_each_value_once(monkeypatch):
+@pytest.fixture(scope="module")
+def heuristic_m15():
+    """heuristic_search(15) and the values it passed to arith.factor; the
+    run takes seconds, mostly in rho, so the tests below share it."""
     values = []
     factor = arith.factor
 
@@ -164,13 +176,17 @@ def test_heuristic_factors_each_value_once(monkeypatch):
         values.append(n)
         return factor(n, *args, **kwargs)
 
-    monkeypatch.setattr(arith, "factor", counting_factor)
-    heuristic_search(13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "factor", counting_factor)
+        return heuristic_search(15), values
+
+
+def test_heuristic_factors_each_value_once(heuristic_m15):
     expected = []
-    for m in range(14):
+    for m in range(16):
         q = quartic_transport(m)
         expected.append(2 * (q.u**4 + q.v**4))
-    assert values == expected
+    assert heuristic_m15[1] == expected
 
 
 def test_heuristic_search_statuses():
@@ -179,6 +195,19 @@ def test_heuristic_search_statuses():
     assert recs[0].status == "non_hit"  # value 4 at the base point
     assert recs[1].status == "hit_certified" and recs[1].p_digits == 2 and recs[1].z == 2
     assert all(r.status in ("hit_certified", "hit_probable", "non_hit", "untested") for r in recs)
+
+
+def test_heuristic_search_statuses_to_m15(heuristic_m15):
+    """Parity decides every value up to m = 15 that rho leaves unfactored."""
+    recs = heuristic_m15[0]
+    hits = {r.m: (r.status, r.p_digits, r.z) for r in recs if r.is_hit}
+    assert hits == {
+        1: ("hit_certified", 2, 2),
+        2: ("hit_certified", 5, 2),
+        3: ("hit_certified", 10, 2),
+        15: ("hit_probable", 181, 2),
+    }
+    assert all(r.status == "non_hit" for r in recs if r.m not in hits)
 
 
 def test_section6_example():
@@ -227,7 +256,7 @@ def _pi2_one_array(n: int) -> int:
     )
 
 
-def test_pi2_segments_match_one_array():
+def test_pi2_matches_one_array_sieve():
     """The recurrence against the one-array sieve on every small n, on the
     twelve sizes 2k * 2^19 + delta, and where r = isqrt(n - 1) and the last
     z with 2 z^2 <= n - 1 step up: n = k^2, 2k^2 and the two after each."""
@@ -246,30 +275,12 @@ def test_pi2_memory_cap():
         pi2_count(10**9)
 
 
-def test_pi2_peak_memory_is_under_one_byte_per_n():
+@pytest.mark.parametrize("n", [10**6, 10**7, ecq.PI2_MEMORY_CAP])
+def test_pi2_peak_memory(n):
+    """The arrays grow as sqrt(n): under 10^6 B up to the cap."""
     tracemalloc.start()
     try:
-        pi2_count(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10**6
-
-
-def test_pi2_peak_memory_is_one_block():
-    tracemalloc.start()
-    try:
-        pi2_count(10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10**6
-
-
-def test_pi2_peak_memory_is_sqrt_n():
-    tracemalloc.start()
-    try:
-        pi2_count(ecq.PI2_MEMORY_CAP)
+        pi2_count(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

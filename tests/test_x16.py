@@ -16,8 +16,8 @@ from x16class.x16 import (
     census_parameters,
     corollary15_check,
     divisibility_check,
-    f16_eval,
     g_eval,
+    h16_homogeneous,
     point_from_t,
     verify_prop34_points,
     y16_membership,
@@ -26,9 +26,9 @@ from x16class.x16 import (
 
 
 def test_f16_and_cusps():
-    assert f16_eval(Fraction(-3)) == -60  # -15 * 2^2
-    assert f16_eval(Fraction(0)) == 0
-    assert f16_eval(Fraction(1)) == 4 and f16_eval(Fraction(-1)) == 4
+    assert h16_homogeneous(Fraction(-3), 1) == -60  # -15 * 2^2
+    assert h16_homogeneous(Fraction(0), 1) == 0
+    assert h16_homogeneous(Fraction(1), 1) == 4 and h16_homogeneous(Fraction(-1), 1) == 4
     for t in CUSPS:
         assert point_from_t(t).cusp
 
@@ -45,7 +45,27 @@ def test_point_from_t_field_constants():
     for t, d in cases.items():
         p = point_from_t(t)
         assert p.d == d, t
-        assert p.fval == d * p.mrat**2
+        assert h16_homogeneous(t.numerator, t.denominator) == d * p.m**2
+
+
+def test_point_from_t_factors_h16(monkeypatch):
+    """t = r/s is taken to Q(sqrt(d)) by factoring h16(r, s) itself."""
+    factored = []
+    real_factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
+    p = point_from_t(Fraction(1, 3))
+    assert factored == [h16_homogeneous(1, 3)] == [-60]
+    assert (p.d, p.m, p.fd.value()) == (-15, 2, -15)
+
+
+def test_points_carry_h16_as_d_m2():
+    ts = census_parameters(60)
+    assert len(ts) == 912
+    for t in ts:
+        p = point_from_t(t)
+        assert h16_homogeneous(t.numerator, t.denominator) == p.d * p.m**2, t
+        assert p.m > 0 and p.fd.value() == p.d, t
+        assert arith.squarefree_part(p.d).m == 1, t
 
 
 def test_g_eval_guards():
@@ -54,7 +74,7 @@ def test_g_eval_guards():
         with pytest.raises(ValueError):
             fn(point_from_t(Fraction(0)))
         with pytest.raises(SupportCollision):
-            fn(x16.X16Point(Fraction(1), Fraction(0), 1, Fraction(0), False))
+            fn(x16.X16Point(Fraction(1), 1, 0, False))
         with pytest.raises(NotImaginary):
             fn(point_from_t(Fraction(2)))  # f16(2) > 0
 
@@ -133,7 +153,7 @@ def test_divisibility_check_t_minus_5(monkeypatch):
 
 def test_census_parameters_order_and_content():
     ts = census_parameters(5)
-    assert all(f16_eval(t) < 0 and t not in CUSPS for t in ts)
+    assert all(h16_homogeneous(t, 1) < 0 and t not in CUSPS for t in ts)
     keys = [(abs(t.numerator) + t.denominator, t.numerator, t.denominator) for t in ts]
     assert keys == sorted(keys)
     # the integer sign test keeps exactly the t that the Fraction f16 keeps
@@ -141,7 +161,7 @@ def test_census_parameters_order_and_content():
         Fraction(r, s)
         for s in range(1, 21)
         for r in range(-20, 21)
-        if gcd(r, s) == 1 and Fraction(r, s) not in CUSPS and f16_eval(Fraction(r, s)) < 0
+        if gcd(r, s) == 1 and Fraction(r, s) not in CUSPS and h16_homogeneous(Fraction(r, s), 1) < 0
     }
     ts = census_parameters(20)
     assert len(ts) == len(by_fraction) and set(ts) == by_fraction
