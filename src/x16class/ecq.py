@@ -9,7 +9,7 @@ asks when 2(u^4 + v^4) is a prime times a square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional
@@ -227,7 +227,12 @@ HEURISTIC_CERTIFIED_BOUND = 10**12
 def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[HeuristicRecord]:
     """Test 2(u^4+v^4) at the multiples m = 0..m_max of the generator.
 
-    Each value is factored once and classified by _classify_pz2.  Hits up
+    Each value is first factored without rho (trial division and the
+    primality test) and classified by _classify_pz2.  A parity verdict is
+    exact, since the found primes' exponents are exact once the cofactor is
+    coprime to them, and a complete factorisation is what rho would give
+    too.  Only a value whose factorisation is incomplete and which is left
+    untested or probable is factored again with the full budget.  Hits up
     to HEURISTIC_CERTIFIED_BOUND are certified, larger ones are reported as
     probable; a non-hit rests on exponent parity alone.  A value that parity
     leaves open and whose cofactor is not a probable prime is reported
@@ -236,6 +241,7 @@ def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[
     one representative per |m| suffices.
     """
     out = []
+    trial_only = replace(effort, rho_iterations=0)
     G = ECPoint.make(E4_WEIERSTRASS, *E4_GENERATOR)
     P = ECPoint.infinity(E4_WEIERSTRASS)
     for m in range(0, m_max + 1):
@@ -243,8 +249,11 @@ def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[
             P = ec_add(P, G)
         q = weierstrass_to_quartic(P)
         n = 2 * (q.u**4 + q.v**4)
-        f = arith.factor(n, effort)
-        status, p, z = _classify_pz2(f, n <= HEURISTIC_CERTIFIED_BOUND)
+        certified = n <= HEURISTIC_CERTIFIED_BOUND
+        f = arith.factor(n, trial_only)
+        status, p, z = _classify_pz2(f, certified)
+        if not f.complete and status in ("untested", "hit_probable"):
+            status, p, z = _classify_pz2(arith.factor(n, effort), certified)
         digits = len(str(p)) if p else 0
         out.append(HeuristicRecord(m, len(str(abs(q.u))), len(str(abs(q.v))), status, digits, z))
     return out
@@ -288,9 +297,11 @@ def section6_checks(rounds: int = 0) -> list[tuple[str, bool]]:
 # pi_2 counting
 # ---------------------------------------------------------------------------
 
-# pi2_count needs pi only at the values m // k, m = n - 1, and gets all of
-# them from Legendre's recurrence in two int64 arrays of isqrt(m) + 1
-# entries, so its memory grows as sqrt(n); the cap bounds its time.
+# pi2_count needs pi only at the values m // k, m = n - 1.  Phase 1 runs
+# Legendre's recurrence in three int64 arrays of isqrt(m) + 1 entries, for
+# the primes up to icbrt(m) only.  Phase 2 adds the larger primes at the
+# few values pi2 reads, from entries phase 1 left final.  So the memory
+# grows as sqrt(n), and the cap bounds the time.
 PI2_MEMORY_CAP = 10**8
 
 
@@ -301,34 +312,57 @@ def pi2_count(n: int) -> int:
     pi2(n) = sum over z >= 1 with 2 z^2 <= m = n - 1 of pi(m // z^2).
     Every m // z^2 is one of the values m // k, and Legendre's recurrence
     on exactly those values gives pi at all of them in O(n^(3/4)) time and
-    O(sqrt(n)) memory (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985):
-    S(v) starts as v - 1, and each prime p <= sqrt(m) in turn subtracts
+    O(sqrt(n)) memory (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985;
+    Deleglise & Rivat, Math. Comp. 65, 1996).
+    S(v) starts as v - 1, and each prime p in turn subtracts
     S(v // p) - S(p - 1) from every S(v) with v >= p^2, which strikes the
     numbers whose least prime factor is p.  small[v] holds S(v) for
-    v <= r = isqrt(m), large[k] holds S(m // k).  PI2_MEMORY_CAP bounds
-    the time."""
+    v <= r = isqrt(m), large[k] holds S(m // k).
+
+    Phase 1 runs the recurrence for the primes p <= c = icbrt(m).  Then
+    small is final, since r < (c + 1)^2, and so is every large[k] with
+    m // k < (c + 1)^2.  Phase 2 finishes only pi(m // z^2) for z^2 <= r:
+    it subtracts S(m // (z^2 p)) - pi(p - 1) over the primes
+    c < p <= sqrt(m // z^2), all pairs at once.  The recurrence wants
+    S(w), w = m // (z^2 p), as it stood before p's step: that is pi(w),
+    since w < p^2, and phase 1 already left pi(w) there, since
+    w < (c + 1)^2.  It is large[z^2 p] when z^2 p <= r and small[w]
+    otherwise.  PI2_MEMORY_CAP bounds the time."""
     if n > PI2_MEMORY_CAP:
         raise BudgetExceeded(f"pi2 limited to n <= {PI2_MEMORY_CAP}, which bounds its time")
     if n <= 2:
         return 0
     m = n - 1
     r = isqrt(m)
-    v = np.arange(r + 1)
-    small = v - 1
-    large = m // np.maximum(v, 1) - 1
-    for p in range(2, r + 1):
+    c = arith._iroot(m, 3)
+    small = np.arange(-1, r)
+    q = m // np.maximum(np.arange(r + 1), 1)  # q[k] = m // k
+    large = q - 1
+    for p in range(2, c + 1):
         if small[p] == small[p - 1]:
             continue  # p is struck, so not prime
         sp = small[p - 1]
         # every right-hand side is read before its step writes, as the
-        # recurrence asks; m // (k p) is large[k p] while k p <= r
+        # recurrence asks; m // (k p) = q[k] // p is large[k p] while k p <= r
         top = min(r, m // (p * p))
         mid = min(top, r // p)
         large[1 : mid + 1] -= large[p : mid * p + 1 : p] - sp
-        large[mid + 1 : top + 1] -= small[m // (v[mid + 1 : top + 1] * p)] - sp
-        small[p * p :] -= small[v[p * p :] // p] - sp
+        large[mid + 1 : top + 1] -= small[q[mid + 1 : top + 1] // p] - sp
+        small[p * p :] -= small[np.arange(p * p, r + 1) // p] - sp
+    del q  # phase 2's arrays then fit where q was, so the peak stays phase 1's
     z2 = np.arange(1, isqrt(m // 2) + 1) ** 2
-    return int(large[z2[z2 <= r]].sum() + small[m // z2[z2 > r]].sum())
+    head = z2[z2 <= r]
+    total = int(large[head].sum() + small[m // z2[z2 > r]].sum())
+    del z2
+    primes = np.flatnonzero(np.diff(small[c:])) + c + 1  # the primes in (c, r]
+    # pair each z^2 in head with the count[i] primes c < p <= sqrt(m // z^2)
+    count = np.searchsorted(primes * primes, m // head, side="right")
+    p = primes[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)]
+    total += int(small[p - 1].sum())
+    k = np.repeat(head, count) * p
+    del p
+    near = k <= r
+    return total - int(large[k[near]].sum() + small[m // k[~near]].sum())
 
 
 def _pi2_brute(n: int) -> int:

@@ -165,28 +165,43 @@ def test_pz2():
     assert classify(arith.FactoredInt(1, ((41, 2),), 41 * 10007)) == ("non_hit", 0, 0)
 
 
+def _heuristic_values(m_max: int) -> list[int]:
+    values = []
+    for m in range(m_max + 1):
+        q = quartic_transport(m)
+        values.append(2 * (q.u**4 + q.v**4))
+    return values
+
+
 @pytest.fixture(scope="module")
 def heuristic_m15():
-    """heuristic_search(15) and the values it passed to arith.factor; the
-    run takes seconds, mostly in rho, so the tests below share it."""
-    values = []
+    """heuristic_search(15) and the (value, budget) pairs it passed to
+    arith.factor, shared by the tests below."""
+    calls = []
     factor = arith.factor
 
-    def counting_factor(n, *args, **kwargs):
-        values.append(n)
-        return factor(n, *args, **kwargs)
+    def counting_factor(n, effort=arith.DEFAULT_BUDGET):
+        calls.append((n, effort))
+        return factor(n, effort)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "factor", counting_factor)
-        return heuristic_search(15), values
+        return heuristic_search(15), calls
 
 
 def test_heuristic_factors_each_value_once(heuristic_m15):
-    expected = []
-    for m in range(16):
-        q = quartic_transport(m)
-        expected.append(2 * (q.u**4 + q.v**4))
-    assert heuristic_m15[1] == expected
+    """Every value is factored once without rho, in order of m."""
+    quick = [n for n, effort in heuristic_m15[1] if effort.rho_iterations == 0]
+    assert quick == _heuristic_values(15)
+
+
+def test_heuristic_runs_rho_only_where_parity_is_open(heuristic_m15):
+    """Trial division and parity decide every value up to m = 15 but those
+    at m = 5 and 6, and only those two are factored with the full budget."""
+    values = _heuristic_values(15)
+    full = [n for n, effort in heuristic_m15[1] if effort == arith.DEFAULT_BUDGET]
+    assert full == [values[5], values[6]]
+    assert len(heuristic_m15[1]) == 16 + 2
 
 
 def test_heuristic_search_statuses():
@@ -258,16 +273,26 @@ def _pi2_one_array(n: int) -> int:
 
 def test_pi2_matches_one_array_sieve():
     """The recurrence against the one-array sieve on every small n, on the
-    twelve sizes 2k * 2^19 + delta, and where r = isqrt(n - 1) and the last
-    z with 2 z^2 <= n - 1 step up: n = k^2, 2k^2 and the two after each."""
+    twelve sizes 2k * 2^19 + delta, on 50 seeded random n up to 2 * 10^6,
+    and where r = isqrt(n - 1), the last z with 2 z^2 <= n - 1 and
+    c = icbrt(n - 1) step up: n = k^2, 2k^2, k^3 and the two after each."""
+    rng = random.Random(13)
     sizes = [2 * k * (1 << 19) + delta for k in (1, 2) for delta in range(-2, 4)]
+    sizes += [rng.randrange(3, 2 * 10**6 + 1) for _ in range(50)]
     assert [pi2_count(n) for n in sizes] == [_pi2_one_array(n) for n in sizes]
     for n in range(3000):
         assert pi2_count(n) == _pi2_one_array(n), n
-    for k in range(1, 400):
-        for edge in (k * k, 2 * k * k):
-            for n in range(edge, edge + 3):
-                assert pi2_count(n) == _pi2_one_array(n), n
+    edges = [e for k in range(1, 400) for e in (k * k, 2 * k * k)]
+    edges += [k**3 for k in range(1, 101)]
+    for edge in edges:
+        for n in range(edge, edge + 3):
+            assert pi2_count(n) == _pi2_one_array(n), n
+
+
+def test_pi2_cube_root_is_exact():
+    """Phase 1 of pi2_count stops at the integer cube root of n - 1."""
+    for k in range(2, 1001):
+        assert [arith._iroot(k**3 + d, 3) for d in (-1, 0, 1)] == [k - 1, k, k]
 
 
 def test_pi2_memory_cap():
