@@ -3,7 +3,7 @@
 Everything downstream (form enumeration, ideal factorization, the height
 census) sits on these primitives, so they are kept exact and deterministic:
 Brent rho draws from an RNG seeded through the effort budget.  Primality is
-deterministic Miller-Rabin below _DETERMINISTIC_BOUND and BPSW above it;
+deterministic Miller-Rabin below DETERMINISTIC_BOUND and BPSW above it;
 ``rounds`` adds random-base Miller-Rabin rounds after BPSW.
 """
 
@@ -18,7 +18,7 @@ from .errors import IncompleteFactorization, NotSquarefree
 
 # Miller-Rabin with this witness set is deterministic below this bound
 # (Sorenson & Webster).
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -58,12 +58,6 @@ class FactoredInt:
         if self.cofactor is not None:
             n *= self.cofactor
         return n
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -127,7 +121,7 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_probable_prime(n: int, rounds: int = 0) -> bool:
-    """Deterministic Miller-Rabin below _DETERMINISTIC_BOUND, BPSW above
+    """Deterministic Miller-Rabin below DETERMINISTIC_BOUND, BPSW above
     (one strong round to base 2, then a strong Lucas test); ``rounds`` adds
     random-base Miller-Rabin rounds after BPSW, seeded from n, as GMP's
     mpz_probab_prime_p does.  No composite is known to pass BPSW."""
@@ -143,7 +137,7 @@ def is_probable_prime(n: int, rounds: int = 0) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _DETERMINISTIC_BOUND:
+    if n < DETERMINISTIC_BOUND:
         return all(_strong_mr(n, a, d, s) for a in _DETERMINISTIC_WITNESSES)
     if not (_strong_mr(n, 2, d, s) and _strong_lucas(n)):
         return False

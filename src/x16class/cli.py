@@ -20,6 +20,7 @@ import platform
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -143,19 +144,12 @@ def _cmd_factor(args, cfg: Config) -> int:
 
 
 def _cmd_classgroup(args, cfg: Config) -> int:
-    disc = args.disc
-    if args.forms:
-        cg = quadform.class_group(disc)
-        print(f"h({disc}) = {cg.h}")
+    print(f"h({args.disc}) = {quadform.class_number(args.disc)}")
+    if args.forms or args.structure:
+        cg = quadform.class_group(args.disc)
         print(f"elementary divisors: {cg.elementary_divisors}")
-        for f in cg.reduced_forms:
+        for f in cg.reduced_forms if args.forms else ():
             print(f"  {f}")
-    else:
-        h = quadform.class_number(disc)
-        print(f"h({disc}) = {h}")
-        if args.structure:
-            cg = quadform.class_group(disc)
-            print(f"elementary divisors: {cg.elementary_divisors}")
     return EXIT_OK
 
 
@@ -272,11 +266,7 @@ def _cmd_heuristic(args, cfg: Config) -> int:
 
 
 def _cmd_pi2(args, cfg: Config) -> int:
-    try:
-        count = ecq.pi2_count(args.n)
-    except BudgetExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
+    count = ecq.pi2_count(args.n)
     from math import log
 
     print(json.dumps({"n": _s(args.n), "count": _s(count), "ratio": count * log(args.n) / args.n}))
@@ -302,6 +292,7 @@ def _cmd_env(args, cfg: Config) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache  # built once per process: main may run several commands
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="x16class",

@@ -188,7 +188,7 @@ class HeuristicRecord:
         return self.status.startswith("hit")
 
 
-def _classify_pz2(f: arith.FactoredInt, certified: bool) -> tuple[str, int, int]:
+def _classify_pz2(f: arith.FactoredInt) -> tuple[str, int, int]:
     """(status, p, z) for n = f.value() > 0: is n a prime p times z^2?
 
     n = p z^2 exactly when the squarefree part of n is one prime, so
@@ -197,8 +197,9 @@ def _classify_pz2(f: arith.FactoredInt, certified: bool) -> tuple[str, int, int]
     primes, whose exponents absorb what it held of them.  Then n is a hit
     when one found prime has odd exponent and C is a square, and a non-hit
     when two or more have, when one has and C is not a square, or when none
-    has and C is a square.  Otherwise n is a probable hit when C is a
-    probable prime, and untested when it is not."""
+    has and C is a square.  Otherwise n is a hit when C is a probable prime,
+    and untested when it is not.  A hit is certified when p is below
+    arith.DETERMINISTIC_BOUND, where primality is proven, else probable."""
     exps = dict(f.factors)
     C = f.cofactor or 1
     for p in exps:
@@ -212,16 +213,14 @@ def _classify_pz2(f: arith.FactoredInt, certified: bool) -> tuple[str, int, int]
     c_root = isqrt(C)
     c_square = c_root * c_root == C
     if len(odd) == 1 and c_square:
-        return ("hit_certified" if certified else "hit_probable"), odd[0], z * c_root
-    if odd or c_square:
+        p, z = odd[0], z * c_root
+    elif odd or c_square:
         return "non_hit", 0, 0
-    if arith.is_probable_prime(C):
-        return "hit_probable", C, z
-    return "untested", 0, 0
-
-
-# heuristic values up to this bound that factor completely are certified
-HEURISTIC_CERTIFIED_BOUND = 10**12
+    elif arith.is_probable_prime(C):
+        p = C
+    else:
+        return "untested", 0, 0
+    return ("hit_certified" if p < arith.DETERMINISTIC_BOUND else "hit_probable"), p, z
 
 
 def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[HeuristicRecord]:
@@ -232,11 +231,10 @@ def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[
     exact, since the found primes' exponents are exact once the cofactor is
     coprime to them, and a complete factorisation is what rho would give
     too.  Only a value whose factorisation is incomplete and which is left
-    untested or probable is factored again with the full budget.  Hits up
-    to HEURISTIC_CERTIFIED_BOUND are certified, larger ones are reported as
-    probable; a non-hit rests on exponent parity alone.  A value that parity
-    leaves open and whose cofactor is not a probable prime is reported
-    untested, never silently dropped.
+    untested or probable is factored again with the full budget.  A hit is
+    certified when its prime is proven (_classify_pz2), else probable; a
+    non-hit rests on exponent parity alone.  A value that parity leaves open
+    and whose cofactor is not a probable prime is reported untested.
     Torsion translates and sign changes of m permute u and v signs only, so
     one representative per |m| suffices.
     """
@@ -249,11 +247,10 @@ def heuristic_search(m_max: int, effort: FactorBudget = DEFAULT_BUDGET) -> list[
             P = ec_add(P, G)
         q = weierstrass_to_quartic(P)
         n = 2 * (q.u**4 + q.v**4)
-        certified = n <= HEURISTIC_CERTIFIED_BOUND
         f = arith.factor(n, trial_only)
-        status, p, z = _classify_pz2(f, certified)
+        status, p, z = _classify_pz2(f)
         if not f.complete and status in ("untested", "hit_probable"):
-            status, p, z = _classify_pz2(arith.factor(n, effort), certified)
+            status, p, z = _classify_pz2(arith.factor(n, effort))
         digits = len(str(p)) if p else 0
         out.append(HeuristicRecord(m, len(str(abs(q.u))), len(str(abs(q.v))), status, digits, z))
     return out
@@ -283,7 +280,7 @@ def section6_checks(rounds: int = 0) -> list[tuple[str, bool]]:
     p, prem = divmod(h1, 2)
     checks = [
         ("gcd(u, v) = 1", gcd(u, v) == 1),
-        ("y^2 = 2(u^4 + 2u^2v^2 - v^4)", y * y == 2 * (u**4 + 2 * u * u * v * v - v**4)),
+        ("y^2 = 2(u^4 + 2u^2v^2 - v^4)", y * y == quartic_rhs(u, v)),
         ("h1(u^2, v^2) is even", prem == 0),
         ("p has 181 digits", len(str(p)) == 181),
         ("p is probably prime", arith.is_probable_prime(p, rounds)),

@@ -4,10 +4,11 @@ Reduction, Gauss/Dirichlet composition, enumeration of reduced forms, class
 numbers, abelian group structure (elementary divisors) and the genus-theory
 2-rank.  Everything is exact.  class_number, the only performance-sensitive
 entry point, counts reduced forms with a numpy sieve over the primes up to
-sqrt(|disc|/3); the band sqrt(|disc|)/2 < a <= sqrt(|disc|/3), where the
-roots themselves are needed, takes each a as s*q split from the sieve's rem,
-with cached roots mod 2s.  enumerate_reduced lists the forms directly and
-serves as its oracle.
+amax = sqrt(|disc|/3); the band sqrt(|disc|)/2 < a <= amax, where the roots
+themselves are needed, takes each a as s*q split from the sieve's rem, with
+cached roots mod 2s.  The same primes decide that disc is fundamental, so
+class_number and class_group factor nothing; both refuse |disc| above
+CLASS_NUMBER_DISC_CAP.  enumerate_reduced lists the forms as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import arith
 from .arith import FactorBudget, DEFAULT_BUDGET
-from .errors import DiscriminantMismatch, IncompleteFactorization
+from .errors import BudgetExceeded, DiscriminantMismatch, IncompleteFactorization
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,38 @@ def _check_disc(disc: int):
         raise ValueError(f"{disc} is not a negative discriminant")
 
 
-@lru_cache(maxsize=65536)
-def _check_fundamental_disc(disc: int):
-    """Counting and composition assume a maximal order: disc = 1 mod 4
-    squarefree, or 4d with d = 2, 3 mod 4 squarefree."""
+# the sieve holds ~30 bytes per a <= sqrt(|disc|/3), 4.6 GB at this cap, and
+# its int64 products stay exact; a census to height 300 reaches 49 bits
+CLASS_NUMBER_DISC_CAP = 2**56
+
+
+def _fundamental_primes(disc: int) -> np.ndarray:
+    """The primes up to amax = isqrt(|disc| // 3), once disc is checked to be
+    fundamental (the order is maximal): disc = 1 (mod 4) squarefree, or 4d
+    with d = 2, 3 (mod 4) squarefree.  BudgetExceeded for
+    |disc| > CLASS_NUMBER_DISC_CAP is raised before any array is allocated.
+
+    The sieved primes decide squarefreeness exactly.  Let d = disc or
+    disc/4, and p^2 | d.  If disc = 4d, p^2 <= |disc|/4 <= |disc| // 3, so
+    p <= amax.  If disc = d = 1 (mod 4) and p > amax, then p^2 > |disc|/3
+    and d/p^2 is -1 or -2: d = -p^2 = 3 (mod 4) or d is even, impossible.
+    The bound is tight: disc = -3p^2 has amax = p."""
     _check_disc(disc)
     d = disc if disc % 4 == 1 else disc // 4
     if disc % 4 == 0 and d % 4 not in (2, 3):
         raise ValueError(f"{disc} is not a fundamental discriminant")
-    if arith.squarefree_part(d).m != 1:
+    if -disc > CLASS_NUMBER_DISC_CAP:
+        raise BudgetExceeded(f"|disc| = {-disc} is above the sieve's cap {CLASS_NUMBER_DISC_CAP}")
+    amax = isqrt(-disc // 3)
+    sieve = np.ones(amax + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(amax) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    if not (np.int64(d) % (primes * primes)).all():
         raise ValueError(f"{disc} is not a fundamental discriminant")
+    return primes
 
 
 def enumerate_reduced(disc: int) -> list[QuadForm]:
@@ -180,9 +203,12 @@ def enumerate_reduced(disc: int) -> list[QuadForm]:
     return forms
 
 
-def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _root_counts(
+    disc: int, amax: int, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g[a] = #{b mod 2a : b^2 = disc (mod 4a)} for 0 < a <= amax, and the
-    sieve's factorisation of each a with g(a) > 0: rem[a] and lpf[a].
+    sieve's factorisation of each a with g(a) > 0: rem[a] and lpf[a];
+    primes are those up to amax.
 
     g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
     a ramified p it is 1 when e = 1 and 0 when e >= 2.  Dividing out the
@@ -191,12 +217,6 @@ def _root_counts(disc: int, amax: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lpf[a] is the largest of the divided-out primes (0 when there is none).
     An inert p zeroes g on its multiples, so it is not divided out.
     """
-    sieve = np.ones(amax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(amax) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve)
     # Euler's criterion, vectorised: r = disc^((p-1)/2) mod p is 1, p-1 or 0
     base, r, e = np.int64(disc) % primes, np.ones_like(primes), (primes - 1) // 2
     while e.any():
@@ -312,11 +332,15 @@ def class_number(disc: int) -> int:
     band beyond needs the roots themselves (Cohen, GTM 138, section 5.3).
     There each a is s*q split from the sieve's rem, with cached roots mod 2s
     and one square root per large prime q.
+
+    The count is h only for a fundamental disc, which the sieve's primes
+    decide exactly, with no factoring (proof at _fundamental_primes): else
+    ValueError, and BudgetExceeded for |disc| > CLASS_NUMBER_DISC_CAP.
     """
-    _check_fundamental_disc(disc)
+    primes = _fundamental_primes(disc)
     amax = isqrt(-disc // 3)
     amid = isqrt((-disc - 1) // 4)  # the largest a with 4a^2 < |disc|
-    g, rem, lpf = _root_counts(disc, amax)
+    g, rem, lpf = _root_counts(disc, amax, primes)
     band = np.flatnonzero(g[amid + 1 :]) + amid + 1
     return int(g[1 : amid + 1].sum()) + _band_forms(disc, band.tolist(), rem, lpf)
 
@@ -334,31 +358,9 @@ class ClassGroup:
 
 
 def class_group(disc: int) -> ClassGroup:
-    _check_fundamental_disc(disc)
+    _fundamental_primes(disc)
     forms = enumerate_reduced(disc)
     return ClassGroup(disc, forms, len(forms))
-
-
-def form_order(f: QuadForm, h: int) -> int:
-    """Order of the class of f in a group of order h."""
-    one = principal_form(f.disc)
-    f = reduce_form(f)
-    for k in _divisors(h):
-        if form_pow(f, k) == one:
-            return k
-    raise AssertionError("element order does not divide group order")
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def group_structure(cg: ClassGroup) -> list[int]:
@@ -382,7 +384,8 @@ def group_structure(cg: ClassGroup) -> list[int]:
             pk = p**k
             counts.append(sum(1 for f in cg.reduced_forms if form_pow(f, pk) == one))
         # lam[k-1] = #{cyclic p-factors of order >= p^k} (conjugate partition)
-        lam = [_plog(counts[k], p) - _plog(counts[k - 1], p) for k in range(1, e + 1)]
+        logs = [arith.valuation_int(c, p) for c in counts]
+        lam = [logs[k] - logs[k - 1] for k in range(1, e + 1)]
         sizes = [p ** sum(1 for r in lam if r > i) for i in range(lam[0] if lam else 0)]
         partitions[p] = sorted(sizes, reverse=True)
     nfac = max((len(v) for v in partitions.values()), default=0)
@@ -396,14 +399,6 @@ def group_structure(cg: ClassGroup) -> list[int]:
     chain.reverse()  # ascending divisibility chain d1 | d2 | ...
     assert prod(chain) == h
     return chain
-
-
-def _plog(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0 and n > 1:
-        n //= p
-        v += 1
-    return v
 
 
 def two_rank_genus(d: int, effort: FactorBudget = DEFAULT_BUDGET) -> int:

@@ -32,7 +32,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Optional
 
 from . import arith, quadform
@@ -291,6 +291,14 @@ def y16_membership(z: Fraction, y: Fraction) -> bool:
     return y * y == _sextic(z)
 
 
+def _x_num(z, y):  # the x-image is N(z, y)/D(z) - 1
+    return (2 * z * z - 6 * z + 2) * y + (10 * z * z - 10 * z - 2)
+
+
+def _x_den(z):
+    return z**5 - 5 * z**4 + 5 * z**3 + 5 * z * z - 5 * z - 3
+
+
 def y16_x_image(z: Fraction, y: Fraction) -> Optional[Fraction]:
     """x-coordinate image of an affine point; None encodes infinity.
 
@@ -303,20 +311,33 @@ def y16_x_image(z: Fraction, y: Fraction) -> Optional[Fraction]:
     z, y = Fraction(z), Fraction(y)
     if not y16_membership(z, y):
         raise NotOnCurve(f"({z}, {y}) is not on the sextic curve")
-    N = (2 * z * z - 6 * z + 2) * y + (10 * z * z - 10 * z - 2)
-    D = z**5 - 5 * z**4 + 5 * z**3 + 5 * z * z - 5 * z - 3
+    N, D = _x_num(z, y), _x_den(z)
     if D != 0:
         return N / D - 1
     if N != 0:
         return None  # pole of the x-image
-    Nbar = (2 * z * z - 6 * z + 2) * (-y) + (10 * z * z - 10 * z - 2)
+    Nbar = _x_num(z, -y)
     assert Nbar != 0
     return -4 * z * (z**4 - 5 * z + 5) / Nbar - 1
 
 
-# x-images of the two points at infinity, from the chart w = 1/z, Y = y/z^3:
-# N' = (2 - 6w + 2w^2) Y + (10 - 10w - 2w^2) w^3 and D' = 1 - 5w + ... give
-# N'/D' - 1 = 2Y - 1 at w = 0.
+def _x_images_at_infinity() -> Optional[dict[int, Fraction]]:
+    """x-images of the points at infinity, where y/z^3 -> +-Y, Y^2 the
+    sextic's leading coefficient: N(z, +-Y z^3)/D(z) - 1 tends to the ratio
+    of the leading coefficients, less 1, when the degrees agree.  None when
+    they differ or Y is not rational."""
+    z = MPolyZ.var("z")
+    lc, D = _sextic(z).leading_coefficient(), _x_den(z)
+    Y, images = isqrt(lc), {}
+    for sign in (1, -1):
+        N = _x_num(z, sign * Y * z**3)
+        if Y * Y != lc or N.degree() != D.degree():
+            return None
+        images[sign] = Fraction(N.leading_coefficient(), D.leading_coefficient()) - 1
+    return images
+
+
+# the x-images at infinity that _x_images_at_infinity must derive: 2Y - 1
 X_IMAGE_AT_INFINITY = {1: Fraction(1), -1: Fraction(-3)}
 
 # the full rational point list with expected x-images (None = infinity)
@@ -337,7 +358,7 @@ def verify_prop34_points() -> bool:
             return False
         if y16_x_image(z, y) != expected:
             return False
-    if X_IMAGE_AT_INFINITY[1] != 1 or X_IMAGE_AT_INFINITY[-1] != -3:
+    if _x_images_at_infinity() != X_IMAGE_AT_INFINITY:
         return False
     # the finite x-images must hit the expected fields of the point table
     expected_fields = {

@@ -66,7 +66,7 @@ def test_is_probable_prime():
     assert arith.is_probable_prime(2) and arith.is_probable_prime(3)
     assert not arith.is_probable_prime(1) and not arith.is_probable_prime(561)
     m89, m107 = 2**89 - 1, 2**107 - 1
-    assert m89 > arith._DETERMINISTIC_BOUND  # every case below takes the BPSW path
+    assert m89 > arith.DETERMINISTIC_BOUND  # every case below takes the BPSW path
     assert arith.is_probable_prime(m89) and arith.is_probable_prime(m89, rounds=3)
     assert not arith.is_probable_prime(m89 * m107)
     assert not arith.is_probable_prime(m89**2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import x16class
-from x16class import cli
+from x16class import cli, quadform
 from x16class.cli import Config, load_config, main
 
 
@@ -76,6 +76,12 @@ def test_classgroup(capsys):
     assert main(["classgroup", "--disc", "-8120", "--structure"]) == 0
     out = capsys.readouterr().out
     assert "h(-8120) = 40" in out and "[2, 2, 10]" in out
+    # above the class-number size cap: a budget exit, not an allocation
+    disc = -(quadform.CLASS_NUMBER_DISC_CAP + 3)
+    assert main(["classgroup", "--disc", str(disc)]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+    assert main(["classgroup", "--disc", "-16219"]) == 3  # 7^2 * (-331)
+    assert "not a fundamental discriminant" in capsys.readouterr().err
 
 
 def test_census_writes_jsonl(tmp_path, capsys):
@@ -180,6 +186,25 @@ def test_verify_table1(capsys):
 def test_verify_example6(capsys):
     assert main(["verify-example6"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_main_reuses_its_parser(capsys):
+    """One process, one parser: each command through main still gets its
+    own exit code and output, so no parse leaks into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["pi2"]) == 3
+    captured = capsys.readouterr()
+    assert "--n" in captured.err and captured.out == ""
+    assert main(["pi2", "--n", "20"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == "11" and captured.err == ""
+    assert main(["verify-lemmas"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "ok  B_h^2 - A_h^2 h16 = (r - s)^10",
+        "ok  U A + V B = 64",
+    ]
+    assert captured.err == ""
 
 
 def test_verify_lemmas(capsys):

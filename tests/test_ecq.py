@@ -142,17 +142,13 @@ def test_height_growth_is_quadratic_in_m():
 
 
 def test_pz2():
-    def classify(f, certified=True):
-        return ecq._classify_pz2(f, certified)
-
+    classify = ecq._classify_pz2
     assert classify(arith.factor(164)) == ("hit_certified", 41, 2)  # 164 = 41 * 2^2
-    assert classify(arith.factor(164), False) == ("hit_probable", 41, 2)
     assert classify(arith.factor(4)) == ("non_hit", 0, 0)  # squarefree part 1
     assert classify(arith.factor(12)) == ("hit_certified", 3, 2)
     assert classify(arith.factor(30)) == ("non_hit", 0, 0)  # 30 squarefree composite
     # with a cofactor C left, exponent parity decides first, and a C that
     # parity leaves open is decided only when it is a probable prime
-    assert classify(arith.FactoredInt(1, ((2, 2),), 41)) == ("hit_probable", 41, 2)
     assert classify(arith.FactoredInt(1, ((2, 1),), 41)) == ("non_hit", 0, 0)
     assert classify(arith.FactoredInt(1, ((2, 2),), 10007 * 10009)) == ("untested", 0, 0)
     assert classify(arith.FactoredInt(1, ((3, 1),), 10007 * 10009)) == ("non_hit", 0, 0)
@@ -161,8 +157,23 @@ def test_pz2():
     assert classify(arith.FactoredInt(1, ((3, 2),), 10007**2)) == ("non_hit", 0, 0)
     # C may still hold a found prime: 41 * 41^2 = 41^3 is 41 * 41^2
     assert classify(arith.FactoredInt(1, ((41, 1),), 41**2)) == ("hit_certified", 41, 41)
-    assert classify(arith.FactoredInt(1, ((41, 1),), 41 * 10007)) == ("hit_probable", 10007, 41)
     assert classify(arith.FactoredInt(1, ((41, 2),), 41 * 10007)) == ("non_hit", 0, 0)
+
+
+def test_pz2_certified_by_the_primality_proof():
+    """A hit is certified exactly when p is below the bound under which the
+    primality test is deterministic, whatever the size of n."""
+    classify = ecq._classify_pz2
+    # a prime cofactor C left by parity: proven, so certified
+    assert classify(arith.FactoredInt(1, ((2, 2),), 41)) == ("hit_certified", 41, 2)
+    assert classify(arith.FactoredInt(1, ((41, 1),), 41 * 10007)) == ("hit_certified", 10007, 41)
+    p61, p89 = 2**61 - 1, 2**89 - 1  # Mersenne primes below and above the bound
+    assert p61 < arith.DETERMINISTIC_BOUND < p89
+    f = arith.FactoredInt(1, ((2, 2), (p61, 1)))
+    assert f.value() > 10**12 and classify(f) == ("hit_certified", p61, 2)
+    assert classify(arith.FactoredInt(1, ((2, 2),), p61)) == ("hit_certified", p61, 2)
+    assert classify(arith.FactoredInt(1, ((2, 2), (p89, 1)))) == ("hit_probable", p89, 2)
+    assert classify(arith.FactoredInt(1, ((2, 2),), p89)) == ("hit_probable", p89, 2)
 
 
 def _heuristic_values(m_max: int) -> list[int]:

@@ -171,10 +171,11 @@ def test_nth_root_ideal():
 
 def test_ideal_to_form_and_class_order():
     h = quadform.class_number(-8120)
+    one = principal_form(-8120)
     P = primes_above(-8120, 3).primes[0]
-    k = quadform.form_order(ideal_to_form(P), h)
-    assert h % k == 0
-    # P^k lands in the principal class
-    assert reduce_form(ideal_to_form(P**k)) == principal_form(-8120) or k == 1
     f = ideal_to_form(P)
+    k = next(k for k in range(1, h + 1) if h % k == 0 and quadform.form_pow(f, k) == one)
+    assert k == 10
+    # P^k lands in the principal class
+    assert reduce_form(ideal_to_form(P**k)) == one
     assert f.disc == -8120 and f.a == 3

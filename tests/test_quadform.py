@@ -3,14 +3,15 @@
 import random
 from math import isqrt
 
-from x16class import arith
+from x16class import arith, quadform
+from x16class.errors import BudgetExceeded
 from x16class.quadform import (
     QuadForm,
+    _fundamental_primes,
     class_group,
     class_number,
     compose,
     enumerate_reduced,
-    form_order,
     form_pow,
     group_structure,
     principal_form,
@@ -100,10 +101,68 @@ def test_class_number_matches_enumeration():
 def test_rejects_non_fundamental_discriminant():
     import pytest
 
-    with pytest.raises(ValueError):
-        class_number(-12)  # -12 = 4 * (-3), -3 = 1 mod 4 already fundamental
-    with pytest.raises(ValueError):
-        class_number(-16219)  # 7^2 * (-331)
+    cases = [-12, -16219]  # -12 = 4 * (-3), -3 = 1 mod 4 already fundamental; 7^2 * (-331)
+    # the boundary of the sieve's check: -3p^2 has amax = isqrt(|disc| // 3) = p
+    for p in (3, 5, 7, 11, 101, 1009, 10007):
+        assert isqrt(3 * p * p // 3) == p
+        cases += [-3 * p * p, -4 * p * p, -8 * p * p]
+    for disc in cases:
+        for fn in (class_number, class_group):
+            with pytest.raises(ValueError, match="not a fundamental discriminant"):
+                fn(disc)
+
+
+def test_fundamental_check_matches_squarefree_rule():
+    """The sieve's check against the factoring rule it replaced, on every
+    disc in (-2*10^4, -3]; the primes it returns are those up to amax."""
+    for disc in range(-3, -20000, -1):
+        d = disc if disc % 4 == 1 else disc // 4
+        expected = (
+            disc % 4 == 1 or (disc % 4 == 0 and d % 4 in (2, 3))
+        ) and arith.squarefree_part(d).m == 1
+        try:
+            primes = _fundamental_primes(disc)
+        except ValueError:
+            assert not expected, disc
+            continue
+        assert expected, disc
+        if -disc % 997 == 0:
+            amax = isqrt(-disc // 3)
+            assert primes.tolist() == [p for p in range(2, amax + 1) if arith.is_probable_prime(p)]
+
+
+def test_class_number_factors_nothing(monkeypatch):
+    """Neither the class number nor the class group factors or tests
+    primality: the sieve decides the discriminant."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class-number path must not factor")
+
+    for name in ("factor", "squarefree_part", "is_probable_prime"):
+        monkeypatch.setattr(arith, name, refuse)
+    assert class_number.__wrapped__(-8120) == 40
+    assert class_group(-4280).h == 36
+
+
+def test_size_cap_raises_before_allocating(monkeypatch):
+    """Above CLASS_NUMBER_DISC_CAP both entry points raise BudgetExceeded
+    before any numpy call; below it the mod-4 rule still comes first."""
+    import pytest
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the size cap")
+
+    monkeypatch.setattr(quadform, "np", NoNumpy())
+    cap = quadform.CLASS_NUMBER_DISC_CAP
+    for disc in (-(cap + 3), -(cap + 4), -(4 * cap + 4)):
+        for fn in (class_number, class_group):
+            with pytest.raises(BudgetExceeded):
+                fn(disc)
+    with pytest.raises(ValueError, match="not a negative discriminant"):
+        class_number(-(cap + 1))
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        class_number(-(cap + 16))  # 4d with d = 0 (mod 4)
 
 
 def test_kernel_matches_enumeration():
@@ -181,11 +240,14 @@ def test_compose_group_axioms_randomized():
 
 
 def test_form_pow_and_order():
-    h = class_number(-8120)
-    for f in enumerate_reduced(-8120):
-        k = form_order(f, h)
-        assert h % k == 0
-        assert form_pow(f, k) == principal_form(-8120)
+    """Cl(-8120) = Z/2 x Z/2 x Z/10: 8 classes are killed by 2, 5 by 5 and
+    all 40 by 10, and f^-1 f is the principal class."""
+    one = principal_form(-8120)
+    forms = enumerate_reduced(-8120)
+    assert len(forms) == class_number(-8120) == 40
+    killed = {k: sum(form_pow(f, k) == one for f in forms) for k in (2, 5, 10)}
+    assert killed == {2: 8, 5: 5, 10: 40}
+    assert all(compose(form_pow(f, -1), f) == one for f in forms)
 
 
 def test_group_structure():

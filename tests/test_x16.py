@@ -8,7 +8,7 @@ import pytest
 from x16class import arith, quadfield, x16
 from x16class.errors import NotImaginary, NotOnCurve, SupportCollision
 from x16class.poly import MPolyZ
-from x16class.quadform import class_number, reduce_form
+from x16class.quadform import reduce_form
 from x16class.x16 import (
     CUSPS,
     cl5_pullback,
@@ -141,7 +141,8 @@ def test_pullback_valuations_divisible_by_5():
 
 def test_divisibility_check_t_minus_5(monkeypatch):
     p = point_from_t(Fraction(-5))
-    class_number(-455)  # caches the class number and its discriminant check
+    # class_number decides the discriminant from its own sieve, so once
+    # point_from_t has factored d, the check factors nothing
     factored = []
     real_factor = arith.factor
     monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
@@ -192,3 +193,15 @@ def test_y16_membership_and_images():
 def test_prop34_and_corollary15():
     assert verify_prop34_points()
     assert corollary15_check()
+
+
+def test_x_images_at_infinity_are_derived(monkeypatch):
+    """The images at infinity come from the leading coefficients of N and D,
+    so a wrong table entry fails the point check.  Along y = +-z^3, which
+    the curve approaches, N/D - 1 tends to them."""
+    assert x16._x_images_at_infinity() == {1: 1, -1: -3}
+    z = Fraction(10**9)
+    for sign, image in x16.X_IMAGE_AT_INFINITY.items():
+        assert abs(x16._x_num(z, sign * z**3) / x16._x_den(z) - 1 - image) < Fraction(1, 10**8)
+    monkeypatch.setattr(x16, "X_IMAGE_AT_INFINITY", {1: Fraction(1), -1: Fraction(-1)})
+    assert not verify_prop34_points()
