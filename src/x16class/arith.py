@@ -288,11 +288,11 @@ def squarefree_part(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> Squarefree
     return SquarefreePart(d, m, FactoredInt(f.sign, tuple(dfac)))
 
 
-def fundamental_discriminant(d: int, effort: FactorBudget = DEFAULT_BUDGET) -> int:
+def fundamental_discriminant(d: int) -> int:
     """Discriminant of the maximal order of Q(sqrt(d)) for squarefree d."""
     if d in (0, 1):
         raise ValueError("d must differ from 0 and 1")
-    sf = squarefree_part(d, effort)
+    sf = squarefree_part(d)
     if sf.m != 1:
         raise NotSquarefree(f"{d} is not squarefree")
     return d if d % 4 == 1 else 4 * d
@@ -365,20 +365,6 @@ def sqrt_of_residue(a: int, p: int) -> int:
             b = b * b % p
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-def lift_sqrt_odd(a: int, p: int, k: int) -> Optional[int]:
-    """x with x^2 = a (mod p^k) for odd prime p not dividing a, via Hensel."""
-    r = sqrt_mod_prime(a % p, p)
-    if r is None or r == 0:
-        return None
-    pe = p
-    while pe < p**k:
-        pe2 = pe * p
-        fx = (r * r - a) % pe2
-        r = (r - fx * pow(2 * r, -1, pe2)) % pe2
-        pe = pe2
-    return r % p**k
 
 
 def lift_sqrt_2(a: int, k: int) -> Optional[int]:

@@ -43,21 +43,17 @@ class Config:
     trial_bound: int = 10000
     rho_iterations: int = 500000
     rng_seed: int = 1
-    height_bound: int = 50
     worker_count: int = 1
-    output_path: Optional[str] = None
     format: str = "jsonl"
 
     def __post_init__(self):
-        counts = ("trial_bound", "rho_iterations", "height_bound", "worker_count")
+        counts = ("trial_bound", "rho_iterations", "worker_count")
         for name in (*counts, "rng_seed"):
             if type(getattr(self, name)) is not int:  # a JSON float or bool is not a count
                 raise ValueError(f"{name} must be an integer")
         for name in counts:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError("output_path must be a string or null")
         if self.format not in ("jsonl", "csv"):
             raise ValueError("format must be jsonl or csv")
 
@@ -167,8 +163,7 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
 
 
 def _cmd_census(args, cfg: Config) -> int:
-    height = args.height or cfg.height_bound
-    path = args.jsonl or cfg.output_path
+    height, path = args.height, args.jsonl
     with _Writer(path, cfg.format) as writer:
         summary = x16.census(
             height,
@@ -246,7 +241,7 @@ def _cmd_verify_lemmas(args, cfg: Config) -> int:
 
 def _cmd_heuristic(args, cfg: Config) -> int:
     records = ecq.heuristic_search(args.mmax, cfg.budget())
-    with _Writer(args.jsonl or cfg.output_path, cfg.format) as writer:
+    with _Writer(args.jsonl, cfg.format) as writer:
         for r in records:
             writer.write(
                 {
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classgroup)
 
     p = sub.add_parser("census", help="divisibility census over bounded-height parameters")
-    p.add_argument("--height", type=_int_at_least(1))
+    p.add_argument("--height", type=_int_at_least(1), default=50)
     p.add_argument("--jsonl", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_census)
 

@@ -5,6 +5,7 @@ a Z + ((b + sqrt(disc))/2) Z.  Products go through form composition with the
 reduction step omitted and the integer content tracked, so norms stay
 exactly multiplicative and factorizations reassemble on the nose; reduction
 happens only when a class-level question (order, principality) is asked.
+A valuation is read off its definition, by membership in the powers P^k.
 
 factor_principal, valuation and nth_root_ideal are the oracle for the
 census's order-5 pullback: x16.cl5_pullback finds the class by a closed
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import arith, quadform
-from .arith import FactorBudget, DEFAULT_BUDGET
 from .errors import (
     DiscriminantMismatch,
     ExponentNotDivisible,
@@ -78,9 +78,6 @@ class QFieldElem:
     def _check(self, other: "QFieldElem"):
         if self.disc != other.disc:
             raise DiscriminantMismatch(f"{self.disc} != {other.disc}")
-
-    def __str__(self) -> str:
-        return f"{self.u} + {self.v}*sqrt({self.disc})"
 
 
 @dataclass(frozen=True)
@@ -154,10 +151,6 @@ class QIdeal:
         t = x - self.b * y
         return t.denominator == 1 and int(t) % self.a == 0
 
-    def __str__(self) -> str:
-        s = f"({self.a}, {self.b})_{self.disc}"
-        return s if self.scal == 1 else f"{self.scal}*{s}"
-
 
 @dataclass(frozen=True)
 class Splitting:
@@ -178,10 +171,9 @@ def primes_above(disc: int, p: int) -> Splitting:
             d = disc // 4
             b = 0 if d % 2 == 0 else 2
         else:
+            # b^2 = disc (mod 4p): 4p | disc when disc is even, and
+            # p^2 = 1 = disc (mod 4) when it is odd
             b = 0 if disc % 2 == 0 else p
-            # need b^2 = disc (mod 4p) with b = 0 (mod p) of the right parity
-            if (b * b - disc) % (4 * p):
-                b = p if b == 0 else 0
         P = QIdeal.make(disc, p, b)
         return Splitting(p, "ramified", (P,))
     # split
@@ -198,59 +190,28 @@ def primes_above(disc: int, p: int) -> Splitting:
     return Splitting(p, "split", (P, P.conj()))
 
 
-def _split_root(disc: int, p: int, b: int, precision: int) -> int:
-    """rho with rho^2 = disc (mod p^precision) picking the branch of the
-    prime (p, b): rho = -b (mod p), or (mod 4) when p = 2."""
-    if p == 2:
-        k = max(precision, 3)
-        rho = arith.lift_sqrt_2(disc % (1 << k), k)
-        if (rho + b) % 4 != 0:
-            rho = (1 << k) - rho
-        assert (rho + b) % 4 == 0
-        return rho % (1 << precision)
-    rho = arith.lift_sqrt_odd(disc, p, precision)
-    if (rho + b) % p != 0:
-        rho = p**precision - rho
-    assert (rho + b) % p == 0
-    return rho
-
-
 def valuation(e: QFieldElem, P: QIdeal) -> int:
-    """Exact P-adic valuation of a nonzero element at a prime ideal."""
+    """Exact P-adic valuation of a nonzero element at a prime ideal, by its
+    definition, for split, ramified and inert P alike.
+
+    With W the common denominator of e's coordinates, e*W is integral and
+    v_P(e) = v_P(e*W) - v_P(W).  v_P(e*W) is the largest k with e*W in P^k, found by
+    multiplying up P.  P meets Z in pZ, so v_P(W) = e(P|p) * v_p(W), with
+    ramification index e(P|p) = 2 when p divides disc, else 1.
+    """
     if e.is_zero():
         raise ValueError("valuation of zero")
     disc = e.disc
     if P.disc != disc:
         raise DiscriminantMismatch(f"{P.disc} != {disc}")
-    # classify the prime
-    if P.a == 1 and P.scal != 1:
-        kind, p = "inert", int(P.scal)
-    else:
-        p = P.a
-        kind = "ramified" if disc % p == 0 else "split"
-    n = e.norm()
-    vn = arith.valuation_int(n.numerator, p) - arith.valuation_int(n.denominator, p)
-    if kind == "inert":
-        assert vn % 2 == 0, "odd norm valuation at an inert prime"
-        return vn // 2
-    if kind == "ramified":
-        return vn
-    # split: clear denominators, e = (A + B sqrt(disc)) / W
-    W = (e.u.denominator * e.v.denominator) // gcd(e.u.denominator, e.v.denominator)
-    A = int(e.u * W)
-    B = int(e.v * W)
-    wv = arith.valuation_int(W, p) if W % p == 0 else 0
-    nint = A * A - disc * B * B
-    M = arith.valuation_int(nint, p) if nint else 0
-    L = M + 1
-    rho = _split_root(disc, p, P.b, L)
-    t = A + B * rho
-    if t == 0:
-        vt = M  # exact representative of the conjugate root
-    else:
-        vt = arith.valuation_int(t, p)
-    v = min(vt, M)
-    return v - wv
+    W = lcm(e.u.denominator, e.v.denominator)
+    x = QFieldElem(disc, e.u * W, e.v * W)
+    k, Pk = 0, P
+    while Pk.contains(x):
+        k, Pk = k + 1, Pk * P
+    p = int(P.a * P.scal)  # the least positive integer in P
+    ramification = 2 if disc % p == 0 else 1
+    return k - ramification * arith.valuation_int(W, p)
 
 
 @dataclass(frozen=True)
@@ -270,15 +231,8 @@ class FactoredIdeal:
             I = I * P**e
         return I
 
-    def __str__(self) -> str:
-        if not self.entries:
-            return "(1)"
-        return " * ".join(f"{P}^{e}" if e != 1 else str(P) for P, e in self.entries)
 
-
-def factor_principal(
-    e: QFieldElem, effort: FactorBudget = DEFAULT_BUDGET
-) -> FactoredIdeal:
+def factor_principal(e: QFieldElem) -> FactoredIdeal:
     """Prime-ideal factorization of the principal fractional ideal (e)."""
     if e.is_zero():
         raise ValueError("cannot factor the zero ideal")
@@ -286,12 +240,11 @@ def factor_principal(
     # candidate primes: the norm alone misses primes where the conjugate
     # valuations cancel (v at P, -v at Pbar), so the coordinate common
     # denominator W must contribute as well
-    W = (e.u.denominator * e.v.denominator) // gcd(e.u.denominator, e.v.denominator)
     ps = set()
-    for m in (n.numerator, n.denominator, W):
+    for m in (n.numerator, n.denominator, lcm(e.u.denominator, e.v.denominator)):
         if m == 1:
             continue
-        fm = arith.factor(m, effort)
+        fm = arith.factor(m)
         if not fm.complete:
             raise IncompleteFactorization(f"{m} did not factor completely")
         ps |= set(fm.primes())

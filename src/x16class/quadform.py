@@ -7,8 +7,9 @@ entry point, counts reduced forms with a numpy sieve over the primes up to
 amax = sqrt(|disc|/3); the band sqrt(|disc|)/2 < a <= amax, where the roots
 themselves are needed, takes each a as s*q split from the sieve's rem, with
 cached roots mod 2s.  The same primes decide that disc is fundamental, so
-class_number and class_group factor nothing; both refuse |disc| above
-CLASS_NUMBER_DISC_CAP.  enumerate_reduced lists the forms as the oracle.
+class_number and class_group factor nothing; class_number refuses |disc|
+above CLASS_NUMBER_DISC_CAP, and class_group, which lists every reduced form,
+above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists the forms as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from . import arith
-from .arith import FactorBudget, DEFAULT_BUDGET
 from .errors import BudgetExceeded, DiscriminantMismatch, IncompleteFactorization
 
 
@@ -146,6 +146,11 @@ def _check_disc(disc: int):
 # the sieve holds ~30 bytes per a <= sqrt(|disc|/3), 4.6 GB at this cap, and
 # its int64 products stay exact; a census to height 300 reaches 49 bits
 CLASS_NUMBER_DISC_CAP = 2**56
+
+# class_group lists all h forms in an O(|disc|) Python loop; on a 2-core
+# machine, at disc = -134217731 (h = 4350) listing them takes ~1 s and the
+# elementary divisors ~1.3 s more, at -10^9 - 3 ~9 s and ~8 s
+CLASS_GROUP_DISC_CAP = 2**27
 
 
 def _fundamental_primes(disc: int) -> np.ndarray:
@@ -358,7 +363,10 @@ class ClassGroup:
 
 
 def class_group(disc: int) -> ClassGroup:
+    """The reduced forms; BudgetExceeded for |disc| > CLASS_GROUP_DISC_CAP."""
     _fundamental_primes(disc)
+    if -disc > CLASS_GROUP_DISC_CAP:
+        raise BudgetExceeded(f"|disc| = {-disc} is above the class-group cap {CLASS_GROUP_DISC_CAP}")
     forms = enumerate_reduced(disc)
     return ClassGroup(disc, forms, len(forms))
 
@@ -401,12 +409,12 @@ def group_structure(cg: ClassGroup) -> list[int]:
     return chain
 
 
-def two_rank_genus(d: int, effort: FactorBudget = DEFAULT_BUDGET) -> int:
+def two_rank_genus(d: int) -> int:
     """Genus-theory 2-rank of the (narrow = ordinary) class group of
     Q(sqrt(d)) for squarefree d < 0; see two_rank_from_factors."""
     if d >= 0:
         raise ValueError("d must be negative")
-    return two_rank_from_factors(d, arith.factor(d, effort))
+    return two_rank_from_factors(d, arith.factor(d))
 
 
 def two_rank_from_factors(d: int, fd: arith.FactoredInt) -> int:

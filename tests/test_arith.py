@@ -198,13 +198,6 @@ def test_sqrt_mod_prime():
             assert r * r % p == x * x % p
 
 
-def test_lift_sqrt_odd():
-    for a, p, k in ((2, 7, 5), (2, 17, 4), (4, 5, 6), (-455, 3, 5)):
-        assert arith.kronecker(a, p) == 1  # sanity on the fixtures
-        r = arith.lift_sqrt_odd(a, p, k)
-        assert (r * r - a) % p**k == 0
-
-
 def test_lift_sqrt_2():
     for a in (17, 41, 73, 105, (-15) % 2**9):
         assert a % 8 == 1  # sanity on the fixtures

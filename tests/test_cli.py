@@ -22,18 +22,16 @@ def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         Config(format="xml")
     for bad in (
-        {"height_bound": 2.5},
         {"worker_count": 1.5},
         {"rho_iterations": 2.5},
         {"worker_count": True},
         {"trial_bound": "100"},
         {"rng_seed": 1.0},
         {"rng_seed": False},
-        {"output_path": 7},
     ):
         with pytest.raises(ValueError):
             Config(**bad)
-    assert Config(rng_seed=-5, output_path="out.jsonl").rng_seed == -5
+    assert Config(rng_seed=-5).rng_seed == -5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rho_iterations": 2.5}))
     assert main(["--config", str(path), "factor", "12"]) == 3
@@ -42,13 +40,19 @@ def test_config_validation(tmp_path, capsys):
     path.write_text(json.dumps({"prime_rounds": 40}))
     assert main(["--config", str(path), "factor", "12"]) == 3
     assert "bad configuration" in capsys.readouterr().err
+    # the census height and the output path are flags only
+    assert cli.build_parser().parse_args(["census"]).height == 50
+    for key, value in (("height_bound", 7), ("output_path", "out.jsonl")):
+        path.write_text(json.dumps({key: value}))
+        assert main(["--config", str(path), "factor", "12"]) == 3
+        assert "bad configuration" in capsys.readouterr().err
 
 
 def test_config_from_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"trial_bound": 500, "height_bound": 7}))
+    path.write_text(json.dumps({"trial_bound": 500, "worker_count": 2}))
     cfg = load_config(str(path))
-    assert cfg.trial_bound == 500 and cfg.height_bound == 7
+    assert cfg.trial_bound == 500 and cfg.worker_count == 2
     monkeypatch.setenv(cli.CONFIG_ENV, str(path))
     assert load_config().trial_bound == 500
     monkeypatch.delenv(cli.CONFIG_ENV)
@@ -72,7 +76,7 @@ def test_factor_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().out == f"{-12 * n} = -2^2 * 3 * C where C = {n} (incomplete)\n"
 
 
-def test_classgroup(capsys):
+def test_classgroup(capsys, monkeypatch):
     assert main(["classgroup", "--disc", "-8120", "--structure"]) == 0
     out = capsys.readouterr().out
     assert "h(-8120) = 40" in out and "[2, 2, 10]" in out
@@ -82,6 +86,19 @@ def test_classgroup(capsys):
     assert "budget exceeded" in capsys.readouterr().err
     assert main(["classgroup", "--disc", "-16219"]) == 3  # 7^2 * (-331)
     assert "not a fundamental discriminant" in capsys.readouterr().err
+    # above the class-group cap, --structure and --forms stop before any form
+    # is listed; h itself is still printed
+    def refuse(disc):
+        raise AssertionError("enumerate_reduced ran above the cap")
+
+    monkeypatch.setattr(quadform, "enumerate_reduced", refuse)
+    disc = -134217731  # the first fundamental discriminant beyond -2^27
+    assert -disc > quadform.CLASS_GROUP_DISC_CAP >= -disc - 4
+    for flag in ("--structure", "--forms"):
+        assert main(["classgroup", "--disc", str(disc), flag]) == 2
+        captured = capsys.readouterr()
+        assert f"h({disc}) = " in captured.out
+        assert "budget exceeded" in captured.err
 
 
 def test_census_writes_jsonl(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The dependencies declared in pyproject.toml are exactly the third-party
 modules the package imports: none missing, none declared that never runs.
-The benchmark's span tracer finds every library name it wraps."""
+The benchmark's span tracer finds every library name it wraps.  Every
+top-level function is called from the package itself, or is a named oracle."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -56,3 +58,44 @@ def test_benchmark_wrapped_names_resolve():
     for module_name, attr, _ in spans.WRAPPED:
         module = importlib.import_module(f"x16class.{module_name}")
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+# top-level functions that only tests and the benchmark call, each on purpose
+TEST_ONLY_FUNCTIONS = {
+    # oracles of tests/test_acceptance.py
+    "ec_mul", "factor_principal", "g_eval", "two_rank_genus", "two_rank_of_group",
+    # wrapped by perfbench/spans.py: the pullback's ideal-factorisation oracle
+    "nth_root_ideal",
+    # the brute-force count behind pi2_count's tests
+    "_pi2_brute",
+    # the pinned quartic-to-Weierstrass transport, kept for the Mordell-Weil checks
+    "quartic_to_weierstrass",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names and attributes read under node; an import alone (a re-export)
+    is not a read."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_function_is_called_from_the_package():
+    """A name read inside a function's own body (recursion) does not count."""
+    statements = [
+        stmt
+        for path in sorted((ROOT / "src" / "x16class").glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    reads = [_names_read(stmt) for stmt in statements]
+    unused = {
+        fn.name
+        for fn in statements
+        if isinstance(fn, ast.FunctionDef)
+        and not any(fn.name in names for stmt, names in zip(statements, reads) if stmt is not fn)
+    }
+    # an allowed name that the package starts to call must leave the list
+    assert unused == TEST_ONLY_FUNCTIONS

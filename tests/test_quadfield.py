@@ -2,11 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from x16class import arith, quadfield, quadform
+from x16class import arith, quadform
 from x16class.errors import ExponentNotDivisible
 from x16class.quadfield import (
     FactoredIdeal,
@@ -116,13 +115,24 @@ def test_inverse_and_pow():
 
 
 def test_valuation_against_norm():
+    """v_P + v_Pbar = v_p(N) at split p, 2v = v_p(N) at inert p and
+    v = v_p(N) at ramified p, for elements whose coordinates carry 2^5, 3^4
+    and 7^3 in their denominators.  The expected values come from norms
+    alone, so this checks the common-denominator correction at every
+    splitting type independently of the membership count in P^k."""
     rng = random.Random(24)
-    for disc in (-15, -8120, -455):
-        for _ in range(60):
+    denominators = (1, 2**5, 3**4, 7**3, 2**5 * 3**4 * 7**3)
+    kinds = set()
+    for disc in DISCS:
+        for _ in range(40):
             e = _random_elem(rng, disc)
+            e = QFieldElem.make(
+                disc, e.u / rng.choice(denominators), e.v / rng.choice(denominators)
+            )
             n = e.norm()
             for p in (2, 3, 5, 7):
                 s = primes_above(disc, p)
+                kinds.add(s.kind)
                 vp = arith.valuation_int(n.numerator, p) - arith.valuation_int(
                     n.denominator, p
                 )
@@ -133,6 +143,7 @@ def test_valuation_against_norm():
                 else:
                     P, Pbar = s.primes
                     assert valuation(e, P) + valuation(e, Pbar) == vp
+    assert kinds == {"split", "ramified", "inert"}
 
 
 def test_factor_principal_reassembles():
