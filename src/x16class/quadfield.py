@@ -195,8 +195,10 @@ def valuation(e: QFieldElem, P: QIdeal) -> int:
     definition, for split, ramified and inert P alike.
 
     With W the common denominator of e's coordinates, e*W is integral and
-    v_P(e) = v_P(e*W) - v_P(W).  v_P(e*W) is the largest k with e*W in P^k, found by
-    multiplying up P.  P meets Z in pZ, so v_P(W) = e(P|p) * v_p(W), with
+    v_P(e) = v_P(e*W) - v_P(W).  v_P(e*W) is the largest k with e*W in P^k.
+    As N(P)^k divides N(e*W), k <= kmax = v_p(N(e*W)); squaring P while e*W
+    stays in P^(2^j) and 2^j <= kmax brackets k, and its lower bits follow
+    from the largest.  P meets Z in pZ, so v_P(W) = e(P|p) * v_p(W), with
     ramification index e(P|p) = 2 when p divides disc, else 1.
     """
     if e.is_zero():
@@ -206,10 +208,18 @@ def valuation(e: QFieldElem, P: QIdeal) -> int:
         raise DiscriminantMismatch(f"{P.disc} != {disc}")
     W = lcm(e.u.denominator, e.v.denominator)
     x = QFieldElem(disc, e.u * W, e.v * W)
-    k, Pk = 0, P
-    while Pk.contains(x):
-        k, Pk = k + 1, Pk * P
     p = int(P.a * P.scal)  # the least positive integer in P
+    kmax = arith.valuation_int(int(x.norm()), p)
+    squares = []  # P^(2^j), each containing x
+    while 1 << len(squares) <= kmax:
+        Q = squares[-1] * squares[-1] if squares else P
+        if not Q.contains(x):
+            break
+        squares.append(Q)
+    k, Pk = (1 << len(squares)) >> 1, squares[-1] if squares else None  # x lies in P^k
+    for j in range(len(squares) - 2, -1, -1):
+        if k + (1 << j) <= kmax and (Q := Pk * squares[j]).contains(x):
+            k, Pk = k + (1 << j), Q
     ramification = 2 if disc % p == 0 else 1
     return k - ramification * arith.valuation_int(W, p)
 

@@ -2,12 +2,15 @@
 
 Reduction, Gauss/Dirichlet composition, enumeration of reduced forms, class
 numbers, abelian group structure (elementary divisors) and the genus-theory
-2-rank.  Everything is exact.  class_number, the only performance-sensitive
-entry point, counts reduced forms with a numpy sieve over the primes up to
-amax = sqrt(|disc|/3); the band sqrt(|disc|)/2 < a <= amax, where the roots
-themselves are needed, takes each a as s*q split from the sieve's rem, with
-cached roots mod 2s.  The same primes decide that disc is fundamental, so
-class_number and class_group factor nothing; class_number refuses |disc|
+2-rank.  Everything is exact.  class_numbers, the only performance-sensitive
+entry point, counts the reduced forms of many discriminants at once with a
+numpy sieve over the primes up to amax = sqrt(|disc|/3), in 2-D blocks with
+one row per discriminant; the band sqrt(|disc|)/2 < a <= amax, where the
+roots themselves are needed, is counted in vectorised chunks: square roots
+mod the large prime of each a, CRT with the prime powers of a while a scan
+would be long, then a direct test of the candidates b.  class_number is one
+class_numbers call.  The same primes decide that disc is fundamental, so
+class_numbers and class_group factor nothing; class_numbers refuses |disc|
 above CLASS_NUMBER_DISC_CAP, and class_group, which lists every reduced form,
 above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists the forms as the oracle.
 """
@@ -128,14 +131,16 @@ def form_pow(f: QuadForm, k: int) -> QuadForm:
     """k-th power in the class group (k may be negative)."""
     if k < 0:
         return form_pow(f.inverse(), -k)
-    result = principal_form(f.disc)
-    base = reduce_form(f)
-    while k:
+    if k == 0:
+        return principal_form(f.disc)
+    base, result = reduce_form(f), None
+    while True:
         if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
+            result = base if result is None else compose(result, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = compose(base, base)
 
 
 def _check_disc(disc: int):
@@ -152,33 +157,58 @@ CLASS_NUMBER_DISC_CAP = 2**56
 # elementary divisors ~1.3 s more, at -10^9 - 3 ~9 s and ~8 s
 CLASS_GROUP_DISC_CAP = 2**27
 
+# class_numbers sieves about _BLOCK (disc, a) entries at a time and counts
+# the band _CHUNK entries at a time; the two bound its working memory
+_BLOCK = 2**15
+_CHUNK = 2048
+# a band root is scanned once at most _SCAN candidates b stand behind it
+_SCAN = 4
+
+
+def _check_fundamental_shape(disc: int):
+    """The checks that need no sieve: a negative discriminant, 4d with
+    d = 2, 3 (mod 4) when even, and |disc| <= CLASS_NUMBER_DISC_CAP
+    (BudgetExceeded, raised before any array is allocated)."""
+    _check_disc(disc)
+    if disc % 4 == 0 and (disc // 4) % 4 not in (2, 3):
+        raise ValueError(f"{disc} is not a fundamental discriminant")
+    if -disc > CLASS_NUMBER_DISC_CAP:
+        raise BudgetExceeded(f"|disc| = {-disc} is above the sieve's cap {CLASS_NUMBER_DISC_CAP}")
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def _check_squarefree(discs: np.ndarray, amax: np.ndarray, primes: np.ndarray):
+    """ValueError unless d = disc or disc/4 is prime to p^2 for every prime
+    p <= amax of its row; primes must reach the largest amax.
+
+    The sieved primes decide squarefreeness exactly.  Let p^2 | d.  If
+    disc = 4d, p^2 <= |disc|/4 <= |disc| // 3, so p <= amax.  If
+    disc = d = 1 (mod 4) and p > amax, then p^2 > |disc|/3 and d/p^2 is -1
+    or -2: d = -p^2 = 3 (mod 4) or d is even, impossible.  The bound is
+    tight: disc = -3p^2 has amax = p."""
+    d = np.where(discs % 4 == 1, discs, discs // 4)
+    pr = primes[: np.searchsorted(primes, amax.max(), "right")]
+    bad = (d[:, None] % (pr * pr) == 0) & (pr <= amax[:, None])
+    if bad.any():
+        raise ValueError(f"{int(discs[bad.any(axis=1)][0])} is not a fundamental discriminant")
+
 
 def _fundamental_primes(disc: int) -> np.ndarray:
     """The primes up to amax = isqrt(|disc| // 3), once disc is checked to be
     fundamental (the order is maximal): disc = 1 (mod 4) squarefree, or 4d
-    with d = 2, 3 (mod 4) squarefree.  BudgetExceeded for
-    |disc| > CLASS_NUMBER_DISC_CAP is raised before any array is allocated.
-
-    The sieved primes decide squarefreeness exactly.  Let d = disc or
-    disc/4, and p^2 | d.  If disc = 4d, p^2 <= |disc|/4 <= |disc| // 3, so
-    p <= amax.  If disc = d = 1 (mod 4) and p > amax, then p^2 > |disc|/3
-    and d/p^2 is -1 or -2: d = -p^2 = 3 (mod 4) or d is even, impossible.
-    The bound is tight: disc = -3p^2 has amax = p."""
-    _check_disc(disc)
-    d = disc if disc % 4 == 1 else disc // 4
-    if disc % 4 == 0 and d % 4 not in (2, 3):
-        raise ValueError(f"{disc} is not a fundamental discriminant")
-    if -disc > CLASS_NUMBER_DISC_CAP:
-        raise BudgetExceeded(f"|disc| = {-disc} is above the sieve's cap {CLASS_NUMBER_DISC_CAP}")
+    with d = 2, 3 (mod 4) squarefree (proof at _check_squarefree)."""
+    _check_fundamental_shape(disc)
     amax = isqrt(-disc // 3)
-    sieve = np.ones(amax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(amax) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve)
-    if not (np.int64(d) % (primes * primes)).all():
-        raise ValueError(f"{disc} is not a fundamental discriminant")
+    primes = _primes_upto(amax)
+    _check_squarefree(np.array([disc], dtype=np.int64), np.array([amax]), primes)
     return primes
 
 
@@ -208,146 +238,286 @@ def enumerate_reduced(disc: int) -> list[QuadForm]:
     return forms
 
 
-def _root_counts(
-    disc: int, amax: int, primes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g[a] = #{b mod 2a : b^2 = disc (mod 4a)} for 0 < a <= amax, and the
-    sieve's factorisation of each a with g(a) > 0: rem[a] and lpf[a];
-    primes are those up to amax.
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod elementwise (broadcasting); exact in int64 for
+    mod < 2^31.5, and in int32, which is faster, while mod^2 < 2^31."""
+    dtype = np.int32 if mod.size and mod.max() < 46341 else np.int64
+    base, exp, mod = (base % mod).astype(dtype), exp.copy(), mod.astype(dtype)
+    out = np.ones_like(base)
+    while True:
+        out = np.where(exp & 1, out * base % mod, out)
+        exp >>= 1
+        if not exp.any():
+            return out.astype(np.int64)
+        base = base * base % mod
 
-    g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
-    a ramified p it is 1 when e = 1 and 0 when e >= 2.  Dividing out the
-    split and ramified primes up to sqrt(amax) leaves in rem[a], wherever
-    g(a) > 0, either 1 or one larger prime, whose factor is looked up;
-    lpf[a] is the largest of the divided-out primes (0 when there is none).
-    An inert p zeroes g on its multiples, so it is not divided out.
-    """
-    # Euler's criterion, vectorised: r = disc^((p-1)/2) mod p is 1, p-1 or 0
-    base, r, e = np.int64(disc) % primes, np.ones_like(primes), (primes - 1) // 2
-    while e.any():
-        r = np.where(e & 1, r * base % primes, r)
-        base, e = base * base % primes, e >> 1
-    gp = np.ones(amax + 1, dtype=np.int64)
-    gp[primes] = np.where(r == 1, 2, np.where(r == 0, 1, 0))
-    gp[2:3] = {1: 2, 5: 0}.get(disc % 8, 1)  # p = 2 is read from disc mod 8
-    g = np.ones(amax + 1, dtype=np.int64)
-    # int32 holds every a: at amax = 2^31, g and gp alone would take 32 GB
-    rem = np.arange(amax + 1, dtype=np.int32)
+
+# odd primes to search for a non-residue mod p = 1 (mod 8): the least one is
+# below 300 for every p < 2^31
+_NONRESIDUE_CANDIDATES = tuple(p for p in range(3, 300) if all(p % k for k in range(2, isqrt(p) + 1)))
+
+
+def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of each n mod the odd prime p, for n a square mod p
+    (nothing checks it), 0 for n = 0: as arith.sqrt_of_residue, closed forms
+    for p = 3 (mod 4) and, after Atkin, p = 5 (mod 8), Tonelli-Shanks for
+    p = 1 (mod 8); the powers of all three take one _powmod call."""
+    i3 = np.flatnonzero(p & 3 == 3)
+    i5 = np.flatnonzero(p & 7 == 5)
+    i1 = np.flatnonzero((p & 7 == 1) & (n != 0))
+    n3, p3, n5, p5, n1, p1 = n[i3], p[i3], n[i5], p[i5], n[i1], p[i1]
+    low = (p1 - 1) & (1 - p1)  # 2^s with p - 1 = q 2^s, q odd
+    q = (p1 - 1) // low
+    z = _nonresidues(p1)
+    pw = np.split(
+        _powmod(
+            np.concatenate([n3, 2 * n5, n1, z]),
+            np.concatenate([(p3 + 1) >> 2, (p5 - 5) >> 3, (q - 1) >> 1, q]),
+            np.concatenate([p3, p5, p1, p1]),
+        ),
+        np.cumsum([len(i3), len(i5), len(i1)]),
+    )
+    r = np.zeros_like(n)
+    r[i3] = pw[0]
+    v = pw[1]
+    w = 2 * n5 % p5 * v % p5 * v % p5
+    r[i5] = n5 * v % p5 * (w - 1) % p5
+    # Tonelli-Shanks from r = n^((q+1)/2), t = n^q and c = z^q of order 2^s
+    u = pw[2]  # n^((q-1)/2)
+    r1, t, c, m = u * n1 % p1, u * u % p1 * n1 % p1, pw[3], np.frexp(low.astype(float))[1] - 1
+    act = np.flatnonzero(t != 1)
+    while act.size:
+        pa, ta = p1[act], t[act]
+        i, found, k = np.zeros_like(ta), ta == 1, 0
+        while not found.all():  # the least i with t^(2^i) = 1
+            k += 1
+            ta = ta * ta % pa
+            i[~found & (ta == 1)] = k
+            found |= ta == 1
+        b, e = c[act], m[act] - i - 1
+        for j in range(int(e.max())):  # b = c^(2^(m-i-1))
+            b = np.where(j < e, b * b % pa, b)
+        b2 = b * b % pa
+        m[act], c[act], t[act], r1[act] = i, b2, t[act] * b2 % pa, r1[act] * b % pa
+        act = act[t[act] != 1]
+    r[i1] = r1
+    return r
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """A quadratic non-residue mod each prime p = 1 (mod 4): for an odd
+    prime z, (z/p) = (p/z), read off the squares mod z."""
+    z, left = np.zeros_like(p), np.arange(len(p))
+    for c in _NONRESIDUE_CANDIDATES:
+        if not left.size:
+            return z
+        squares = np.zeros(c, dtype=bool)
+        squares[np.arange(c) ** 2 % c] = True
+        hit = ~squares[p[left] % c]
+        z[left[hit]] = c
+        left = left[~hit]
+    assert not left.size, "no non-residue below 300"
+    return z
+
+
+def _smooth_tables(amax: int, small: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """rem[a], a with the small primes (p^2 <= amax) divided out, is 1 or one
+    prime above sqrt(amax); lpf[a] is the largest small prime of a (0 when
+    there is none).  Neither depends on the discriminant."""
+    rem = np.arange(amax + 1, dtype=np.int32)  # int32 holds every a
     lpf = np.zeros(amax + 1, dtype=np.int32)
-    for p in primes[primes * primes <= amax].tolist():
-        if gp[p] == 0:  # inert: g = 0 on every multiple, whatever rem holds there
-            g[p::p] = 0
-            continue
-        if gp[p] == 2:
-            g[p::p] *= 2
-        else:
-            g[p * p :: p * p] = 0
+    for p in small:
         lpf[p::p] = p
         pk = p
         while pk <= amax:
             rem[pk::pk] //= p
             pk *= p
-    g *= gp[rem]
-    return g, rem, lpf
+    return rem, lpf
 
 
-class _BandRoots:
-    """Roots of disc mod 2s and mod odd prime powers, for the divisors s of
-    band values a with g(a) > 0, each found once and cached.
+def _sieve_block(
+    discs: np.ndarray, amax: np.ndarray, amid: np.ndarray,
+    primes: np.ndarray, small: list[int], rem: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of rows, one per discriminant (amax ascending), over
+    0 <= a <= W = the last amax: g[row, a] = #{b mod 2a : b^2 = disc (mod 4a)}.
+    Returns the sums of g over 0 < a <= amid, and the band entries
+    amid < a <= amax with g > 0 as (row, a).
 
-    s splits as (s / p^k) * p^k, where p = rem[s] when that is one prime
-    above sqrt(amax), else p = lpf[s], the largest sieved prime of s; the
-    roots mod 2s then come by one CRT step from those mod 2s/p^k and mod
-    p^k, down to the power of 2.  (A class, not recursive closures: those
-    form a reference cycle that keeps each call's sieve arrays alive until
-    the cyclic garbage collector runs, which raised the census's peak RSS.)
+    g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
+    a ramified p it is 1 when e = 1 and 0 when e >= 2.  Each row's symbols
+    gp[row, p] come from Euler's criterion over all primes up to W at once,
+    2 from disc mod 8; the large prime rem[a] contributes gp[row, rem[a]]
+    and each small prime one strided update of all rows.
     """
-
-    def __init__(self, disc: int, rem: np.ndarray, lpf: np.ndarray):
-        self.disc, self.rem, self.lpf = disc, rem, lpf
-        self.pk_root: dict[int, int] = {}  # p^k -> a root of disc mod p^k
-        self.s_roots: dict[int, list[int]] = {}  # s -> the roots b mod 2s
-
-    def root(self, p: int, pk: int) -> int:
-        """A root of disc mod p^k, p odd."""
-        r = self.pk_root.get(pk)
-        if r is None:
-            disc = self.disc
-            if pk == p:  # g(a) > 0, so disc is a square mod p
-                r = arith.sqrt_of_residue(disc % p, p) if disc % p else 0
-            else:  # unramified, as g(a) > 0: one Newton step from p^(k-1)
-                r = self.root(p, pk // p)
-                r = (r - (r * r - disc) * pow(2 * r, -1, pk)) % pk
-            self.pk_root[pk] = r
-        return r
-
-    def mod_2s(self, s: int) -> list[int]:
-        """The roots b mod 2s of b^2 = disc (mod 4s)."""
-        out = self.s_roots.get(s)
-        if out is not None:
-            return out
-        disc = self.disc
-        if s & (s - 1) == 0:  # s = 2^e: b mod 2^(e+1) with b^2 = disc (mod 2^(e+2))
-            if s == 1:
-                out = [disc & 1]
-            elif disc % 4 == 0:  # e == 1, as g(a) > 0
-                out = [2 * ((disc >> 2) & 1)]
-            else:  # disc = 1 (mod 8)
-                r = arith.lift_sqrt_2(disc % (4 * s), s.bit_length() + 1)
-                out = [r % (2 * s), -r % (2 * s)]
-        else:  # rem[s] is 2 only when s = 2 (amax < 4), handled above
-            p = pk = int(self.rem[s])
-            if p == 1:
-                p = pk = int(self.lpf[s])
-                while s % (pk * p) == 0:
-                    pk *= p
-            r = self.root(p, pk)
-            m = 2 * s // pk
-            inv = pow(m, -1, pk)
-            ys = (r, pk - r) if r else (0,)
-            out = [x + m * ((y - x) * inv % pk) for x in self.mod_2s(s // pk) for y in ys]
-        self.s_roots[s] = out
-        return out
+    R, W = len(discs), int(amax[-1])
+    _check_squarefree(discs, amax, primes)
+    pr = primes[: np.searchsorted(primes, W, "right")]
+    odd = pr[pr > 2]
+    gp = np.ones((R, W + 1), dtype=np.int8)
+    # Euler's criterion: disc^((p-1)/2) mod p is 1 (split), p-1 (inert) or 0
+    euler = _powmod(discs[:, None] % odd, (odd - 1) >> 1, odd)
+    gp[:, odd] = np.where(euler == 1, 2, euler == 0)
+    if W >= 2:
+        m8 = discs % 8
+        gp[:, 2] = np.where(m8 == 1, 2, np.where(m8 == 5, 0, 1))
+    g = gp[:, rem[: W + 1]].astype(np.int16)  # g(a) <= 2^8 for a < 2^28
+    for p in small:
+        if p > W:
+            break
+        m = gp[:, p, None]
+        g[:, p::p] *= m
+        g[:, p * p :: p * p] *= m != 1  # ramified: g(p^e) = 0 for e >= 2
+    cols = np.arange(W + 1)
+    g[:, 0] = 0
+    g *= cols <= amax[:, None]
+    lo = cols <= amid[:, None]
+    h_lo = np.where(lo, g, 0).sum(axis=1, dtype=np.int64)
+    g *= ~lo
+    rows, a = np.nonzero(g)
+    return h_lo, rows, a
 
 
-def _band_forms(disc: int, band: list[int], rem: np.ndarray, lpf: np.ndarray) -> int:
-    """Reduced forms (a, b, c) with a in the band, for band values a with
-    g(a) > 0: the roots b mod 2a of b^2 = disc (mod 4a) that give c > a, or
-    c = a and b >= 0.  Each a is s*q, with q = rem[a] one prime above
-    sqrt(amax) or 1, so its roots take one CRT step from the cached roots
-    mod 2s and one square root mod q."""
-    roots = _BandRoots(disc, rem, lpf).mod_2s
-    count = 0
-    for a in band:
-        lim = 4 * a * a + disc  # c > a  <=>  b^2 > 4a^2 - |disc|
-        for x in roots(a):
-            b = x if x <= a else x - 2 * a
-            if b * b > lim or (b * b == lim and b >= 0):
-                count += 1
-    return count
+def _crt_step(ent, x, M, disc, idx, p, pk):
+    """Joins to the roots x mod M[ent] of each entry in idx the roots of
+    disc mod the prime power pk = p^k prime to M: +-r, or 0 when p | disc
+    (then k = 1, as g(a) > 0).  Returns the new (ent, x); M grows in place."""
+    d = disc[idx]
+    r = _sqrt_mod_primes(d % p, p)
+    lift = np.flatnonzero(pk > p)
+    if lift.size:  # Hensel: p splits, so 2r is a unit mod p
+        rl, pl, dl, kl = r[lift], p[lift], d[lift], pk[lift]
+        inv = _powmod(2 * rl, pl - 2, pl)
+        pe = pl.copy()
+        while (go := pe < kl).any():
+            t = (rl * rl - dl) // pe % pl * inv % pl
+            rl = np.where(go, (rl - t * pe) % (pe * pl), rl)
+            pe = np.where(go, pe * pl, pe)
+        r[lift] = rl
+    Mi = M[idx]
+    inv = _powmod(Mi, pk // p * (p - 1) - 1, pk)  # M^-1 mod pk, by Euler
+    pos = np.full(len(M), -1)
+    pos[idx] = np.arange(len(idx))
+    rr = np.flatnonzero(pos[ent] >= 0)
+    k = pos[ent[rr]]
+    xr, mk, pkk = x[rr], Mi[k], pk[k]
+    x[rr] = xr + mk * ((r[k] - xr) % pkk * inv[k] % pkk)
+    two = np.flatnonzero(r[k] != 0)
+    x2 = xr[two] + mk[two] * ((-r[k[two]] - xr[two]) % pkk[two] * inv[k[two]] % pkk[two])
+    M[idx] *= pk
+    return np.concatenate([ent, ent[rr[two]]]), np.concatenate([x, x2])
+
+
+def _band_counts(disc, a, x2, rem, lpf) -> np.ndarray:
+    """Reduced forms (a, b, c) of each band entry (disc, a), g(a) > 0: the
+    roots b in (-a, a] of b^2 = disc (mod 4a) with c > a, or c = a and b >= 0,
+    i.e. |b| >= L = sqrt(4a^2 - |disc|).  x2 is a 2-adic root of disc
+    (disc = 1 mod 8).
+
+    The roots mod M | 2a start from those mod the power of 2 in 2a; the large
+    prime q = rem[a], then the small prime powers of a, largest first, join
+    by CRT while more than _SCAN candidates stand behind a root.  Each root x
+    mod M then stands for the b' = x (mod M) in [L, a], tested directly
+    against 4a | b'^2 - disc: as the roots mod M are closed under negation,
+    these are the |b| of the roots b."""
+    n = len(a)
+    lim = 4 * a * a + disc  # c >= a  <=>  b^2 >= lim
+    lo = np.maximum(np.floor(np.sqrt(lim.astype(float))).astype(np.int64) - 1, 0)
+    span = a - lo + 1
+    low = a & -a
+    M, cof = 2 * low, a // low
+    # b mod 2^(e+1) with b^2 = disc (mod 2^(e+2)), 2^e || a
+    x = np.where(disc & 1, np.where(low == 1, 1, x2 % M), np.where(low == 1, 0, 2 * ((disc >> 2) & 1)))
+    pair = np.flatnonzero((low > 1) & (disc & 7 == 1))
+    ent, x = np.concatenate([np.arange(n), pair]), np.concatenate([x, -x[pair] % M[pair]])
+    q = rem[cof].astype(np.int64)
+    idx = np.flatnonzero(q > 1)
+    p = pk = q[idx]
+    cof[idx] //= p
+    while True:
+        if idx.size:
+            ent, x = _crt_step(ent, x, M, disc, idx, p, pk)
+        idx = np.flatnonzero((cof > 1) & (span > _SCAN * M))
+        if not idx.size:
+            break
+        p = lpf[cof[idx]].astype(np.int64)
+        pk, c = p.copy(), cof[idx]
+        while (more := c % (pk * p) == 0).any():
+            pk = np.where(more, pk * p, pk)
+        cof[idx] = c // pk
+    Me, ae = M[ent], a[ent]
+    first = lo[ent] + (x - lo[ent]) % Me
+    cnt = np.where(first <= ae, (ae - first) // Me + 1, 0)
+    row = np.repeat(np.arange(len(ent)), cnt)
+    b = first[row] + Me[row] * (np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row])
+    e = ent[row]
+    bb, le = b * b, lim[e]
+    ok = ((bb - disc[e]) % (4 * a[e]) == 0) & (bb >= le)
+    neg = ok & (b > 0) & (b < a[e]) & (bb > le)  # -b, too
+    return np.bincount(e[ok], minlength=n) + np.bincount(e[neg], minlength=n)
+
+
+def class_numbers(discs) -> list[int]:
+    """Class numbers h(disc) of many fundamental negative discriminants, in
+    the order given.
+
+    Counts the reduced forms (a, b, c) by a <= amax = sqrt(|disc|/3).  While
+    4a^2 < |disc|, each of the g(a) roots b mod 2a of b^2 = disc (mod 4a)
+    gives one with c > a, so that range is a sum over a sieve; only the band
+    beyond needs the roots themselves (Cohen, GTM 138, section 5.3).  The
+    distinct discriminants, sorted by amax, are sieved in 2-D blocks of about
+    _BLOCK entries, one row each, over one table of primes, rem and lpf up to
+    the largest amax; the band entries of all blocks are counted _CHUNK at a
+    time (_band_counts).
+
+    The count is h only for a fundamental disc, which the sieve's primes
+    decide exactly, with no factoring (proof at _check_squarefree): else
+    ValueError.  BudgetExceeded for |disc| > CLASS_NUMBER_DISC_CAP, like the
+    mod-4 rules, is checked for every disc before any array is allocated.
+    """
+    discs = [int(disc) for disc in discs]
+    distinct = sorted(set(discs), reverse=True)  # amax ascending
+    for disc in distinct:
+        _check_fundamental_shape(disc)
+    if not distinct:
+        return []
+    amax = [isqrt(-disc // 3) for disc in distinct]
+    top = amax[-1]
+    primes = _primes_upto(top)
+    small = primes[primes * primes <= top].tolist()
+    rem, lpf = _smooth_tables(top, small)
+    bits = top.bit_length() + 2  # b mod 2^(e+1) needs a root mod 2^(e+2), 2^e <= amax
+    x2 = np.array([arith.lift_sqrt_2(disc % (1 << bits), bits) or 0 for disc in distinct], dtype=np.int64)
+    dv, av = np.array(distinct, dtype=np.int64), np.array(amax, dtype=np.int64)
+    mid = np.array([isqrt((-disc - 1) // 4) for disc in distinct], dtype=np.int64)
+    h = np.zeros(len(distinct), dtype=np.int64)
+    band_rows, band_a = [], []
+    i = 0
+    while i < len(distinct):
+        j = i + 1  # rows while the block, padded to its last amax, stays within _BLOCK
+        while j < len(distinct) and (j - i + 1) * (amax[j] + 1) <= _BLOCK:
+            j += 1
+        h_lo, rows, a = _sieve_block(dv[i:j], av[i:j], mid[i:j], primes, small, rem)
+        h[i:j] += h_lo
+        band_rows.append(rows + i)
+        band_a.append(a)
+        i, last = j, j == len(distinct)
+        if last or sum(map(len, band_a)) >= _CHUNK:  # count whole chunks, the rest at the end
+            rows, a = np.concatenate(band_rows), np.concatenate(band_a)
+            cut = len(a) if last else len(a) - len(a) % _CHUNK
+            for k in range(0, cut, _CHUNK):
+                r = rows[k : k + _CHUNK]
+                np.add.at(h, r, _band_counts(dv[r], a[k : k + _CHUNK], x2[r], rem, lpf))
+            band_rows, band_a = [rows[cut:]], [a[cut:]]
+    hs = dict(zip(distinct, h.tolist()))
+    return [hs[disc] for disc in discs]
 
 
 @lru_cache(maxsize=65536)
 def class_number(disc: int) -> int:
-    """Class number h(disc) for a fundamental negative discriminant.
-
-    Counts the reduced forms (a, b, c) by a <= sqrt(|disc|/3).  While
-    4a^2 < |disc|, each of the g(a) roots b mod 2a of b^2 = disc (mod 4a)
-    gives one with c > a, so that range is a sum over the sieve; only the
-    band beyond needs the roots themselves (Cohen, GTM 138, section 5.3).
-    There each a is s*q split from the sieve's rem, with cached roots mod 2s
-    and one square root per large prime q.
-
-    The count is h only for a fundamental disc, which the sieve's primes
-    decide exactly, with no factoring (proof at _fundamental_primes): else
-    ValueError, and BudgetExceeded for |disc| > CLASS_NUMBER_DISC_CAP.
-    """
-    primes = _fundamental_primes(disc)
-    amax = isqrt(-disc // 3)
-    amid = isqrt((-disc - 1) // 4)  # the largest a with 4a^2 < |disc|
-    g, rem, lpf = _root_counts(disc, amax, primes)
-    band = np.flatnonzero(g[amid + 1 :]) + amid + 1
-    return int(g[1 : amid + 1].sum()) + _band_forms(disc, band.tolist(), rem, lpf)
+    """Class number h(disc) for a fundamental negative discriminant: one
+    class_numbers call (the exceptions are its)."""
+    return class_numbers((disc,))[0]
 
 
 @dataclass

@@ -146,8 +146,9 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
     contains (x + y sqrt(D))/2, i.e. y b = x (mod 2N), b = D (mod 2): the
     form (N, b, (b^2-D)/4N).  N = 1 gives the principal class; t = 1/3,
     where A_h = 0, is such a case.  The divisions by 32, b^2 = D (mod 4N) and
-    f^5 = 1 are asserted, so a broken lemma raises rather than answers;
-    g_eval with quadfield.factor_principal/nth_root_ideal is the oracle.
+    f^5 = 1 (as f^4 = f^-1) are asserted, so a broken lemma raises rather
+    than answers; g_eval with quadfield.factor_principal/nth_root_ideal is
+    the oracle.
     """
     _check_pullback_point(p)
     r, s = p.t.numerator, p.t.denominator
@@ -173,8 +174,9 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
         f = quadform.reduce_form(QuadForm(N, b, (b * b - D) // (4 * N)))
     if f == one:
         order = 1
-    else:
-        assert quadform.form_pow(f, 5) == one, "pullback class order must divide 5"
+    else:  # f^5 = 1 as f^4 = f^-1: two squarings
+        f2 = quadform.compose(f, f)
+        assert quadform.compose(f2, f2) == quadform.reduce_form(f.inverse()), "pullback class order must divide 5"
         order = 5
     return PullbackResult(p.t, D, f, order)
 
@@ -204,12 +206,14 @@ class CensusRecord:
     div10: bool
 
 
-def divisibility_check(p: X16Point) -> CensusRecord:
-    """Census record of a point built by point_from_t: h, the genus 2-rank
-    from the carried factorisation of d, and the pullback order."""
+def divisibility_check(p: X16Point, h: Optional[int] = None) -> CensusRecord:
+    """Census record of a point built by point_from_t: h (class_number's,
+    unless the caller has it), the genus 2-rank from the carried
+    factorisation of d, and the pullback order."""
     if p.cusp or p.d >= 0 or p.fd is None:
         raise ValueError("divisibility check needs an imaginary non-cusp point with d factored")
-    h = quadform.class_number(p.disc)
+    if h is None:
+        h = quadform.class_number(p.disc)
     tr = quadform.two_rank_from_factors(p.d, p.fd)
     five = cl5_pullback(p).order
     return CensusRecord(p.t, p.d, p.disc, h, tr, five, h % 10 == 0)
@@ -236,13 +240,39 @@ def census_parameters(height_bound: int) -> list[Fraction]:
     return ts
 
 
-def census_check(t: Fraction, effort: FactorBudget = DEFAULT_BUDGET) -> CensusRecord | str:
-    """divisibility_check at t, or the error it raised as "Type: message":
-    in a census, per-record failures are recorded, not fatal."""
+# the census checks its parameters this many at a time: one class_numbers
+# call per chunk, and a pool hands out whole chunks
+CENSUS_CHUNK = 256
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def census_chunk(ts: list[Fraction], effort: FactorBudget = DEFAULT_BUDGET) -> list[CensusRecord | str]:
+    """divisibility_check at each t, or the error it raised as "Type: message":
+    in a census, per-record failures are recorded, not fatal.  The class
+    numbers of the chunk's fields come from one class_numbers call; should
+    that raise, each record falls back to class_number and meets its own
+    error."""
+    points: list[X16Point | str] = []
+    for t in ts:
+        try:
+            points.append(point_from_t(t, effort))
+        except Exception as exc:
+            points.append(_error(exc))
+    discs = {p.disc for p in points if isinstance(p, X16Point) and not p.cusp and p.d < 0}
     try:
-        return divisibility_check(point_from_t(t, effort))
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        hs = dict(zip(discs, quadform.class_numbers(discs)))
+    except Exception:
+        hs = {}
+    records: list[CensusRecord | str] = []
+    for p in points:
+        try:
+            records.append(p if isinstance(p, str) else divisibility_check(p, hs.get(p.disc)))
+        except Exception as exc:
+            records.append(_error(exc))
+    return records
 
 
 def census(
@@ -252,29 +282,32 @@ def census(
     workers: int = 1,
 ) -> CensusSummary:
     """Run divisibility_check on every non-cusp imaginary t of bounded height,
-    in this process or in a pool of `workers` processes.  Either way, records
-    reach `sink` as they are made, in canonical order."""
+    CENSUS_CHUNK parameters at a time, in this process or in a pool of
+    `workers` processes.  Either way, each chunk's records reach `sink` as
+    the chunk is done, in canonical order."""
     summary = CensusSummary(height_bound)
     params = census_parameters(height_bound)
-    check = partial(census_check, effort=effort)
+    chunks = [params[i : i + CENSUS_CHUNK] for i in range(0, len(params), CENSUS_CHUNK)]
+    check = partial(census_chunk, effort=effort)
     with ExitStack() as stack:
         if workers == 1:
-            results = map(check, params)
+            results = map(check, chunks)
         else:
             import multiprocessing  # here, not at the top: it slows start-up
 
-            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, params)
-        for t, rec in zip(params, results):
-            if isinstance(rec, str):
-                summary.errors.append((t, rec))
-                continue
-            summary.records += 1
-            if rec.d == -15:
-                summary.exceptions.append(t)
-            elif not rec.div10:
-                summary.violations.append(t)
-            if sink is not None:
-                sink(rec)
+            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, chunks)
+        for ts, recs in zip(chunks, results):
+            for t, rec in zip(ts, recs):
+                if isinstance(rec, str):
+                    summary.errors.append((t, rec))
+                    continue
+                summary.records += 1
+                if rec.d == -15:
+                    summary.exceptions.append(t)
+                elif not rec.div10:
+                    summary.violations.append(t)
+                if sink is not None:
+                    sink(rec)
     return summary
 
 
@@ -381,10 +414,11 @@ def verify_prop34_points() -> bool:
 COROLLARY15_FIELDS = (-7161, -6711, -6503, -6095, -6005, -4847, -3503, -3199)
 
 
-def corollary15_check() -> bool:
-    """5 does not divide h for the eight listed field constants."""
-    for d in COROLLARY15_FIELDS:
-        disc = arith.fundamental_discriminant(d)
-        if quadform.class_number(disc) % 5 == 0:
-            return False
-    return True
+def corollary15_check(hs: Optional[dict[int, int]] = None) -> bool:
+    """5 does not divide h for the eight listed field constants; hs maps
+    discriminants to class numbers when the caller has them already, else
+    they come from one class_numbers call."""
+    discs = [arith.fundamental_discriminant(d) for d in COROLLARY15_FIELDS]
+    if hs is None:
+        hs = dict(zip(discs, quadform.class_numbers(discs)))
+    return all(hs[disc] % 5 for disc in discs)

@@ -8,8 +8,10 @@ from x16class.errors import BudgetExceeded
 from x16class.quadform import (
     QuadForm,
     _fundamental_primes,
+    _sqrt_mod_primes,
     class_group,
     class_number,
+    class_numbers,
     compose,
     enumerate_reduced,
     form_pow,
@@ -156,13 +158,18 @@ def test_size_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(quadform, "np", NoNumpy())
     cap = quadform.CLASS_NUMBER_DISC_CAP
     for disc in (-(cap + 3), -(cap + 4), -(4 * cap + 4)):
-        for fn in (class_number, class_group):
+        for fn in (class_number, class_group, lambda disc: class_numbers([disc])):
             with pytest.raises(BudgetExceeded):
                 fn(disc)
+        # a batch checks every discriminant before it sieves any
+        with pytest.raises(BudgetExceeded):
+            class_numbers([-3, -4, disc, -7])
     with pytest.raises(ValueError, match="not a negative discriminant"):
         class_number(-(cap + 1))
     with pytest.raises(ValueError, match="not a fundamental discriminant"):
         class_number(-(cap + 16))  # 4d with d = 0 (mod 4)
+    with pytest.raises(ValueError, match="not a negative discriminant"):
+        class_numbers([-3, 5])
 
 
 def test_kernel_matches_enumeration():
@@ -205,17 +212,83 @@ def test_band_paths_match_enumeration():
     prime_power = ((-260, 9, 3, 2), (-100004, 162, 3, 4))
     for disc, a, p, k in prime_power:
         assert a % p**k == 0 and a in band(disc)
-    # a = s*q, q = 1 (mod 8): Tonelli-Shanks; q = 5 (mod 8): Atkin
-    large_q = ((-1012, 1, 17), (-100020, 2, 89), (-84, 1, 5), (-100004, 3, 53))
+    # a = s*q, q = 1 (mod 8): Tonelli-Shanks; q = 5 (mod 8): Atkin;
+    # q = 3 (mod 4): the closed form
+    large_q = (
+        (-1012, 1, 17), (-100020, 2, 89), (-84, 1, 5), (-100004, 3, 53),
+        (-1272, 1, 19), (-35, 1, 3), (-1364, 3, 7), (-696, 2, 7),
+    )
+    assert {q % 8 for _, _, q in large_q} == {1, 3, 5, 7}
     for disc, s, q in large_q:
-        assert q % 4 == 1 and q * q > amax(disc) and s * q in band(disc)
-    for disc in {*tiny, *(c[0] for c in ramified + two_adic + prime_power + large_q)}:
-        assert class_number(disc) == len(enumerate_reduced(disc)), disc
+        assert q * q > amax(disc) and disc % q and s * q in band(disc)
+    discs = sorted({*tiny, *(c[0] for c in ramified + two_adic + prime_power + large_q)})
+    expected = [len(enumerate_reduced(disc)) for disc in discs]
+    assert [class_number(disc) for disc in discs] == expected
+    assert class_numbers(discs) == expected
     # the census-h36 discriminants with the largest band, h from the
     # per-a root count that preceded the cached band
     assert class_number(-635236280) == 15520
     assert class_number(-548282504) == 16160
     assert class_number(-723857960) == 11520
+
+
+def test_class_numbers_batch_matches_enumeration():
+    """Every fundamental discriminant in (-5000, -3] in one shuffled call,
+    with duplicates, against the reduced-form oracle."""
+    small = [
+        disc
+        for disc in range(-3, -5000, -1)
+        if disc % 4 in (0, 1) and arith.fundamental_discriminant(arith.squarefree_part(disc).d) == disc
+    ]
+    assert len(small) == 1524
+    rng = random.Random(11)
+    batch = small + rng.sample(small, 300)
+    rng.shuffle(batch)
+    h = {disc: len(enumerate_reduced(disc)) for disc in small}
+    assert class_numbers(batch) == [h[disc] for disc in batch]
+
+
+def test_class_numbers_tiny_and_mixed():
+    """amax = 1, where a = 1 has no sieve prime at all, alone and in a batch
+    with a 36-bit discriminant: the batch shares one table of primes, rem and
+    lpf up to the largest amax, and gives the single calls' class numbers."""
+    tiny = [-3, -4, -7, -8]
+    assert class_numbers(tiny) == [1, 1, 1, 1]
+    assert class_numbers([]) == []
+    big = -68719476731  # prime; h from the per-discriminant sieve before batching
+    mixed = [-4, big, -3, -8120, -7, -8, -15, big]
+    assert class_numbers(mixed) == [1, 98601, 1, 40, 1, 1, 2, 98601]
+    assert class_numbers(mixed) == [class_number.__wrapped__(disc) for disc in mixed]
+
+
+def test_class_numbers_census_h36_pinned():
+    """The census-h36 discriminants with the largest band, in one call."""
+    assert class_numbers([-635236280, -548282504, -723857960]) == [15520, 16160, 11520]
+
+
+def test_class_numbers_rejects_any_non_fundamental():
+    import pytest
+
+    with pytest.raises(ValueError, match="-16219 is not a fundamental"):
+        class_numbers([-3, -8120, -16219, -4])  # 7^2 * (-331)
+    with pytest.raises(ValueError, match="-12 is not a fundamental"):
+        class_numbers([-15, -12])
+
+
+def test_sqrt_mod_primes_matches_arith():
+    """The vectorised square roots mod primes in every class mod 8,
+    including p = 1 (mod 8) with a long power of 2 in p - 1 (12289 =
+    3*2^12 + 1, 65537 = 2^16 + 1), against arith.sqrt_of_residue."""
+    import numpy as np
+
+    rng = random.Random(12)
+    ps = [p for p in range(3, 3000) if arith.is_probable_prime(p)] + [12289, 65537, 1000003]
+    ps = [p for p in ps for _ in range(3)]
+    ns = [rng.randrange(0, p) ** 2 % p for p in ps]
+    roots = _sqrt_mod_primes(np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64)).tolist()
+    for n, p, r in zip(ns, ps, roots):
+        assert r * r % p == n, (n, p)
+        assert n == 0 or r in (arith.sqrt_of_residue(n, p), p - arith.sqrt_of_residue(n, p))
 
 
 def test_enumerate_reduced_minus_15():

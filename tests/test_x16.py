@@ -5,8 +5,8 @@ from math import gcd
 
 import pytest
 
-from x16class import arith, quadfield, x16
-from x16class.errors import NotImaginary, NotOnCurve, SupportCollision
+from x16class import arith, quadfield, quadform, x16
+from x16class.errors import BudgetExceeded, NotImaginary, NotOnCurve, SupportCollision
 from x16class.poly import MPolyZ
 from x16class.quadform import reduce_form
 from x16class.x16 import (
@@ -175,6 +175,29 @@ def test_census_height_10():
     assert sorted(summary.exceptions) == [Fraction(-3), Fraction(1, 3)]
     assert summary.violations == [] and summary.errors == []
     assert all(r.div10 for r in records if r.d != -15)
+
+
+def test_census_chunk_falls_back_per_record(monkeypatch):
+    """A chunk takes its class numbers from one class_numbers call; when
+    that raises, each record asks class_number alone, so only the records
+    whose own class number fails become error rows."""
+    ts = census_parameters(12)
+    records = x16.census_chunk(ts)
+    assert all(isinstance(r, x16.CensusRecord) for r in records)
+    bad = records[5].disc
+    real = quadform.class_numbers
+
+    def picky(discs):
+        discs = list(discs)
+        if bad in discs:
+            raise BudgetExceeded("over the cap")
+        return real(discs)
+
+    monkeypatch.setattr(quadform, "class_numbers", picky)
+    quadform.class_number.cache_clear()
+    expected = [r if r.disc != bad else "BudgetExceeded: over the cap" for r in records]
+    assert x16.census_chunk(ts) == expected
+    quadform.class_number.cache_clear()
 
 
 def test_y16_membership_and_images():
