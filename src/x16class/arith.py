@@ -340,19 +340,16 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
 
 def sqrt_of_residue(a: int, p: int) -> int:
     """A square root of a mod an odd prime p, for a that is known to be a
-    nonzero square mod p (nothing checks it): closed forms for p = 3 (mod 4)
-    and, after Atkin, p = 5 (mod 8); Tonelli-Shanks for p = 1 (mod 8)."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        v = pow(2 * a, (p - 5) // 8, p)
-        return a * v * (2 * a * v * v - 1) % p
+    nonzero square mod p (nothing checks it): Tonelli-Shanks (Cohen, GTM 138,
+    Alg. 1.5.1), the scalar twin of quadform._sqrt_mod_primes.  With
+    p - 1 = q 2^s, q odd, t = a^q is 1 at once when s = 1, so a non-residue
+    z is looked up only where s >= 2."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 3  # 2 is a square mod p = 1 (mod 8)
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    z = 2
+    while s >= 2 and pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

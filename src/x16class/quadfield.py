@@ -152,19 +152,14 @@ class QIdeal:
         return t.denominator == 1 and int(t) % self.a == 0
 
 
-@dataclass(frozen=True)
-class Splitting:
-    p: int
-    kind: str  # "split" | "ramified" | "inert"
-    primes: tuple[QIdeal, ...]
-
-
-def primes_above(disc: int, p: int) -> Splitting:
-    """Splitting of a rational prime in the maximal order of disc."""
+def primes_above(disc: int, p: int) -> tuple[QIdeal, ...]:
+    """The prime ideals above a rational prime p in the maximal order of
+    disc: P and its conjugate when p splits, one P when p ramifies or stays
+    inert."""
     _check_disc(disc)
     sym = arith.kronecker(disc, p)
     if sym == -1:
-        return Splitting(p, "inert", (QIdeal.make(disc, 1, disc & 1, p),))
+        return (QIdeal.make(disc, 1, disc & 1, p),)
     if sym == 0:
         # ramified
         if p == 2:
@@ -174,8 +169,7 @@ def primes_above(disc: int, p: int) -> Splitting:
             # b^2 = disc (mod 4p): 4p | disc when disc is even, and
             # p^2 = 1 = disc (mod 4) when it is odd
             b = 0 if disc % 2 == 0 else p
-        P = QIdeal.make(disc, p, b)
-        return Splitting(p, "ramified", (P,))
+        return (QIdeal.make(disc, p, b),)
     # split
     if p == 2:
         assert disc % 8 == 1, "split at 2 requires disc = 1 mod 8"
@@ -187,7 +181,7 @@ def primes_above(disc: int, p: int) -> Splitting:
         b %= 2 * p
     assert (b * b - disc) % (4 * p) == 0
     P = QIdeal.make(disc, p, b)
-    return Splitting(p, "split", (P, P.conj()))
+    return P, P.conj()
 
 
 def valuation(e: QFieldElem, P: QIdeal) -> int:
@@ -261,8 +255,7 @@ def factor_principal(e: QFieldElem) -> FactoredIdeal:
     entries = []
     check = Fraction(1)
     for p in sorted(ps):
-        sp = primes_above(e.disc, p)
-        for P in sp.primes:
+        for P in primes_above(e.disc, p):
             v = valuation(e, P)
             if v:
                 entries.append((P, v))

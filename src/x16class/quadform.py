@@ -5,14 +5,15 @@ numbers, abelian group structure (elementary divisors) and the genus-theory
 2-rank.  Everything is exact.  class_numbers, the only performance-sensitive
 entry point, counts the reduced forms of many discriminants at once with a
 numpy sieve over the primes up to amax = sqrt(|disc|/3), in 2-D blocks with
-one row per discriminant; the band sqrt(|disc|)/2 < a <= amax, where the
-roots themselves are needed, is counted in vectorised chunks: square roots
-mod the large prime of each a, CRT with the prime powers of a while a scan
-would be long, then a direct test of the candidates b.  class_number is one
-class_numbers call.  The same primes decide that disc is fundamental, so
-class_numbers and class_group factor nothing; class_numbers refuses |disc|
-above CLASS_NUMBER_DISC_CAP, and class_group, which lists every reduced form,
-above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists the forms as the oracle.
+one row per discriminant.  Each block's band sqrt(|disc|)/2 < a <= amax,
+where the roots themselves are needed, is counted right after the block is
+sieved: square roots mod the prime powers of each a, largest prime first,
+joined by CRT while a scan would be long, then a direct test of the
+candidates b.  class_number is one class_numbers call.  The same primes
+decide that disc is fundamental, so class_numbers and class_group factor
+nothing; class_numbers refuses |disc| above CLASS_NUMBER_DISC_CAP, and
+class_group, which lists every reduced form, above CLASS_GROUP_DISC_CAP.
+enumerate_reduced lists the forms as the oracle.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def _check_disc(disc: int):
         raise ValueError(f"{disc} is not a negative discriminant")
 
 
-# the sieve holds ~30 bytes per a <= sqrt(|disc|/3), 4.6 GB at this cap, and
-# its int64 products stay exact; a census to height 300 reaches 49 bits
+# the sieve holds ~24 bytes per a <= sqrt(|disc|/3) (23.6 at -2^48 - 3), 3.7 GB
+# at this cap, and its int64 products stay exact; height 300 reaches 49 bits
 CLASS_NUMBER_DISC_CAP = 2**56
 
 # class_group lists all h forms in an O(|disc|) Python loop; on a 2-core
@@ -157,10 +158,9 @@ CLASS_NUMBER_DISC_CAP = 2**56
 # elementary divisors ~1.3 s more, at -10^9 - 3 ~9 s and ~8 s
 CLASS_GROUP_DISC_CAP = 2**27
 
-# class_numbers sieves about _BLOCK (disc, a) entries at a time and counts
-# the band _CHUNK entries at a time; the two bound its working memory
-_BLOCK = 2**15
-_CHUNK = 2048
+# class_numbers sieves about _BLOCK (disc, a) entries at a time, a block of
+# one row when its amax is larger, and counts each block's band at once
+_BLOCK = 2**16
 # a band root is scanned once at most _SCAN candidates b stand behind it
 _SCAN = 4
 
@@ -252,55 +252,39 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         base = base * base % mod
 
 
-# odd primes to search for a non-residue mod p = 1 (mod 8): the least one is
-# below 300 for every p < 2^31
+# odd primes to search for a non-residue mod p = 1 (mod 4): the least one is
+# at most 101 for every p < 2^31
 _NONRESIDUE_CANDIDATES = tuple(p for p in range(3, 300) if all(p % k for k in range(2, isqrt(p) + 1)))
 
 
 def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A square root of each n mod the odd prime p, for n a square mod p
-    (nothing checks it), 0 for n = 0: as arith.sqrt_of_residue, closed forms
-    for p = 3 (mod 4) and, after Atkin, p = 5 (mod 8), Tonelli-Shanks for
-    p = 1 (mod 8); the powers of all three take one _powmod call."""
-    i3 = np.flatnonzero(p & 3 == 3)
-    i5 = np.flatnonzero(p & 7 == 5)
-    i1 = np.flatnonzero((p & 7 == 1) & (n != 0))
-    n3, p3, n5, p5, n1, p1 = n[i3], p[i3], n[i5], p[i5], n[i1], p[i1]
-    low = (p1 - 1) & (1 - p1)  # 2^s with p - 1 = q 2^s, q odd
-    q = (p1 - 1) // low
-    z = _nonresidues(p1)
-    pw = np.split(
-        _powmod(
-            np.concatenate([n3, 2 * n5, n1, z]),
-            np.concatenate([(p3 + 1) >> 2, (p5 - 5) >> 3, (q - 1) >> 1, q]),
-            np.concatenate([p3, p5, p1, p1]),
-        ),
-        np.cumsum([len(i3), len(i5), len(i1)]),
+    (nothing checks it), 0 for n = 0: Tonelli-Shanks (Cohen, GTM 138, Alg.
+    1.5.1), the twin of arith.sqrt_of_residue.  With p - 1 = q 2^s, q odd,
+    t = n^q is 1 at once when s = 1, so a non-residue z, with c = z^q of
+    order 2^s, is looked up only where s >= 2.  One _powmod call."""
+    low = (p - 1) & (1 - p)  # 2^s
+    q, m = (p - 1) // low, np.frexp(low.astype(float))[1] - 1
+    j = np.flatnonzero(m >= 2)
+    pw = _powmod(
+        np.concatenate([n, _nonresidues(p[j])]), np.concatenate([(q - 1) >> 1, q[j]]), np.concatenate([p, p[j]])
     )
-    r = np.zeros_like(n)
-    r[i3] = pw[0]
-    v = pw[1]
-    w = 2 * n5 % p5 * v % p5 * v % p5
-    r[i5] = n5 * v % p5 * (w - 1) % p5
-    # Tonelli-Shanks from r = n^((q+1)/2), t = n^q and c = z^q of order 2^s
-    u = pw[2]  # n^((q-1)/2)
-    r1, t, c, m = u * n1 % p1, u * u % p1 * n1 % p1, pw[3], np.frexp(low.astype(float))[1] - 1
-    act = np.flatnonzero(t != 1)
+    u, c = pw[: len(n)], np.zeros_like(p)  # u = n^((q-1)/2)
+    c[j] = pw[len(n) :]
+    r, t = u * n % p, u * u % p * n % p
+    act = np.flatnonzero(t > 1)  # t = 0 only for n = 0, where r = 0
     while act.size:
-        pa, ta = p1[act], t[act]
-        i, found, k = np.zeros_like(ta), ta == 1, 0
-        while not found.all():  # the least i with t^(2^i) = 1
-            k += 1
-            ta = ta * ta % pa
-            i[~found & (ta == 1)] = k
-            found |= ta == 1
+        pa, ta = p[act], t[act]
+        i = np.zeros_like(ta)
+        while (go := ta != 1).any():  # the least i with t^(2^i) = 1
+            ta = np.where(go, ta * ta % pa, ta)
+            i += go
         b, e = c[act], m[act] - i - 1
-        for j in range(int(e.max())):  # b = c^(2^(m-i-1))
-            b = np.where(j < e, b * b % pa, b)
+        for k in range(int(e.max())):  # b = c^(2^(m-i-1))
+            b = np.where(k < e, b * b % pa, b)
         b2 = b * b % pa
-        m[act], c[act], t[act], r1[act] = i, b2, t[act] * b2 % pa, r1[act] * b % pa
+        m[act], c[act], t[act], r[act] = i, b2, t[act] * b2 % pa, r[act] * b % pa
         act = act[t[act] != 1]
-    r[i1] = r1
     return r
 
 
@@ -379,8 +363,9 @@ def _sieve_block(
 
 
 def _crt_step(ent, x, M, disc, idx, p, pk):
-    """Joins to the roots x mod M[ent] of each entry in idx the roots of
-    disc mod the prime power pk = p^k prime to M: +-r, or 0 when p | disc
+    """One step of _band_counts' CRT loop: joins to the roots x mod M[ent] of
+    each entry in idx the roots of disc mod the prime power pk = p^k prime to
+    M: +-r, r from _sqrt_mod_primes and Hensel's lemma, or 0 when p | disc
     (then k = 1, as g(a) > 0).  Returns the new (ent, x); M grows in place."""
     d = disc[idx]
     r = _sqrt_mod_primes(d % p, p)
@@ -414,12 +399,13 @@ def _band_counts(disc, a, x2, rem, lpf) -> np.ndarray:
     i.e. |b| >= L = sqrt(4a^2 - |disc|).  x2 is a 2-adic root of disc
     (disc = 1 mod 8).
 
-    The roots mod M | 2a start from those mod the power of 2 in 2a; the large
-    prime q = rem[a], then the small prime powers of a, largest first, join
-    by CRT while more than _SCAN candidates stand behind a root.  Each root x
-    mod M then stands for the b' = x (mod M) in [L, a], tested directly
-    against 4a | b'^2 - disc: as the roots mod M are closed under negation,
-    these are the |b| of the roots b."""
+    The roots mod M | 2a start from those mod the power of 2 in 2a; the
+    prime powers of the odd cofactor c join by CRT (_crt_step), largest prime
+    first (rem[c] while it is > 1, then lpf[c]), while more than _SCAN
+    candidates stand behind a root.  Each root x mod M then stands for the
+    b' = x (mod M) in [L, a], tested directly against 4a | b'^2 - disc: as
+    the roots mod M are closed under negation, these are the |b| of the
+    roots b."""
     n = len(a)
     lim = 4 * a * a + disc  # c >= a  <=>  b^2 >= lim
     lo = np.maximum(np.floor(np.sqrt(lim.astype(float))).astype(np.int64) - 1, 0)
@@ -430,21 +416,14 @@ def _band_counts(disc, a, x2, rem, lpf) -> np.ndarray:
     x = np.where(disc & 1, np.where(low == 1, 1, x2 % M), np.where(low == 1, 0, 2 * ((disc >> 2) & 1)))
     pair = np.flatnonzero((low > 1) & (disc & 7 == 1))
     ent, x = np.concatenate([np.arange(n), pair]), np.concatenate([x, -x[pair] % M[pair]])
-    q = rem[cof].astype(np.int64)
-    idx = np.flatnonzero(q > 1)
-    p = pk = q[idx]
-    cof[idx] //= p
-    while True:
-        if idx.size:
-            ent, x = _crt_step(ent, x, M, disc, idx, p, pk)
-        idx = np.flatnonzero((cof > 1) & (span > _SCAN * M))
-        if not idx.size:
-            break
-        p = lpf[cof[idx]].astype(np.int64)
-        pk, c = p.copy(), cof[idx]
+    while (idx := np.flatnonzero((cof > 1) & (span > _SCAN * M))).size:
+        c = cof[idx]
+        p = np.where(rem[c] > 1, rem[c], lpf[c]).astype(np.int64)  # the largest prime of c
+        pk = p.copy()
         while (more := c % (pk * p) == 0).any():
             pk = np.where(more, pk * p, pk)
         cof[idx] = c // pk
+        ent, x = _crt_step(ent, x, M, disc, idx, p, pk)
     Me, ae = M[ent], a[ent]
     first = lo[ent] + (x - lo[ent]) % Me
     cnt = np.where(first <= ae, (ae - first) // Me + 1, 0)
@@ -467,8 +446,8 @@ def class_numbers(discs) -> list[int]:
     beyond needs the roots themselves (Cohen, GTM 138, section 5.3).  The
     distinct discriminants, sorted by amax, are sieved in 2-D blocks of about
     _BLOCK entries, one row each, over one table of primes, rem and lpf up to
-    the largest amax; the band entries of all blocks are counted _CHUNK at a
-    time (_band_counts).
+    the largest amax; each block's band is counted right after its sieve, in
+    one _band_counts call.
 
     The count is h only for a fundamental disc, which the sieve's primes
     decide exactly, with no factoring (proof at _check_squarefree): else
@@ -490,26 +469,16 @@ def class_numbers(discs) -> list[int]:
     x2 = np.array([arith.lift_sqrt_2(disc % (1 << bits), bits) or 0 for disc in distinct], dtype=np.int64)
     dv, av = np.array(distinct, dtype=np.int64), np.array(amax, dtype=np.int64)
     mid = np.array([isqrt((-disc - 1) // 4) for disc in distinct], dtype=np.int64)
-    h = np.zeros(len(distinct), dtype=np.int64)
-    band_rows, band_a = [], []
-    i = 0
+    h, i = [], 0
     while i < len(distinct):
         j = i + 1  # rows while the block, padded to its last amax, stays within _BLOCK
         while j < len(distinct) and (j - i + 1) * (amax[j] + 1) <= _BLOCK:
             j += 1
         h_lo, rows, a = _sieve_block(dv[i:j], av[i:j], mid[i:j], primes, small, rem)
-        h[i:j] += h_lo
-        band_rows.append(rows + i)
-        band_a.append(a)
-        i, last = j, j == len(distinct)
-        if last or sum(map(len, band_a)) >= _CHUNK:  # count whole chunks, the rest at the end
-            rows, a = np.concatenate(band_rows), np.concatenate(band_a)
-            cut = len(a) if last else len(a) - len(a) % _CHUNK
-            for k in range(0, cut, _CHUNK):
-                r = rows[k : k + _CHUNK]
-                np.add.at(h, r, _band_counts(dv[r], a[k : k + _CHUNK], x2[r], rem, lpf))
-            band_rows, band_a = [rows[cut:]], [a[cut:]]
-    hs = dict(zip(distinct, h.tolist()))
+        np.add.at(h_lo, rows, _band_counts(dv[i:j][rows], a, x2[i:j][rows], rem, lpf))
+        h += h_lo.tolist()
+        i = j
+    hs = dict(zip(distinct, h))
     return [hs[disc] for disc in discs]
 
 

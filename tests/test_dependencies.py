@@ -1,7 +1,8 @@
 """The dependencies declared in pyproject.toml are exactly the third-party
 modules the package imports: none missing, none declared that never runs.
 The benchmark's span tracer finds every library name it wraps.  Every
-top-level function is called from the package itself, or is a named oracle."""
+top-level function is called from the package itself, or is a named oracle,
+and every top-level constant is read in the package."""
 
 import ast
 import importlib.util
@@ -75,21 +76,25 @@ TEST_ONLY_FUNCTIONS = {
 
 def _names_read(node: ast.AST) -> set[str]:
     """Names and attributes read under node; an import alone (a re-export)
-    is not a read."""
+    or an assignment to a name is not a read."""
     return {
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)) or isinstance(sub, ast.Attribute)
     }
 
 
-def test_every_function_is_called_from_the_package():
-    """A name read inside a function's own body (recursion) does not count."""
-    statements = [
+def _package_statements() -> list[ast.stmt]:
+    return [
         stmt
         for path in sorted((ROOT / "src" / "x16class").glob("*.py"))
         for stmt in ast.parse(path.read_text()).body
     ]
+
+
+def test_every_function_is_called_from_the_package():
+    """A name read inside a function's own body (recursion) does not count."""
+    statements = _package_statements()
     reads = [_names_read(stmt) for stmt in statements]
     unused = {
         fn.name
@@ -99,3 +104,21 @@ def test_every_function_is_called_from_the_package():
     }
     # an allowed name that the package starts to call must leave the list
     assert unused == TEST_ONLY_FUNCTIONS
+
+
+def test_every_constant_is_read_in_the_package():
+    """Each name a module assigns at top level (dunders aside) is read by
+    another top-level statement of the package: a constant that nothing
+    reads any more, such as a tuning knob whose loop is gone, fails here."""
+    statements = _package_statements()
+    reads = [_names_read(stmt) for stmt in statements]
+    unread = {
+        target.id
+        for stmt in statements
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("__")
+        and not any(target.id in names for other, names in zip(statements, reads) if other is not stmt)
+    }
+    # the torsion point of E4 is read by the acceptance tests alone
+    assert unread == {"E4_TORSION"}

@@ -49,32 +49,31 @@ def test_norm_is_multiplicative_randomized():
 
 
 def test_primes_above_split_ramified_inert():
-    s = primes_above(-15, 2)
-    assert s.kind == "split" and len(s.primes) == 2
-    P, Pbar = s.primes
+    assert arith.kronecker(-15, 2) == 1
+    P, Pbar = primes_above(-15, 2)
     assert P.norm() == 2 and Pbar == P.conj()
     assert (P * Pbar).norm() == 4
     assert reduce_form(ideal_to_form(P * Pbar)) == principal_form(-15)
 
-    s = primes_above(-15, 3)
-    assert s.kind == "ramified"
-    (P,) = s.primes
+    assert arith.kronecker(-15, 3) == 0
+    (P,) = primes_above(-15, 3)
     assert P.norm() == 3 and (P * P).norm() == 9
     assert reduce_form(ideal_to_form(P * P)) == principal_form(-15)
 
-    s = primes_above(-4, 3)
-    assert s.kind == "inert" and s.primes[0].norm() == 9
+    assert arith.kronecker(-4, 3) == -1
+    (P,) = primes_above(-4, 3)
+    assert P.norm() == 9
 
-    s = primes_above(-8120, 2)
-    assert s.kind == "ramified" and s.primes[0].norm() == 2
+    assert arith.kronecker(-8120, 2) == 0
+    (P,) = primes_above(-8120, 2)
+    assert P.norm() == 2
 
 
 def test_prime_ideal_contains_p():
     rng = random.Random(22)
     for disc in DISCS:
         for p in (2, 3, 5, 7, 11, 13):
-            s = primes_above(disc, p)
-            for P in s.primes:
+            for P in primes_above(disc, p):
                 assert P.contains(QFieldElem.make(disc, p, 0))
 
 
@@ -122,7 +121,7 @@ def test_valuation_against_norm():
     splitting type independently of the membership count in P^k."""
     rng = random.Random(24)
     denominators = (1, 2**5, 3**4, 7**3, 2**5 * 3**4 * 7**3)
-    kinds = set()
+    symbols = set()
     for disc in DISCS:
         for _ in range(40):
             e = _random_elem(rng, disc)
@@ -131,19 +130,20 @@ def test_valuation_against_norm():
             )
             n = e.norm()
             for p in (2, 3, 5, 7):
-                s = primes_above(disc, p)
-                kinds.add(s.kind)
+                ps, sym = primes_above(disc, p), arith.kronecker(disc, p)
+                symbols.add(sym)
+                assert len(ps) == (2 if sym == 1 else 1)
                 vp = arith.valuation_int(n.numerator, p) - arith.valuation_int(
                     n.denominator, p
                 )
-                if s.kind == "inert":
-                    assert valuation(e, s.primes[0]) * 2 == vp
-                elif s.kind == "ramified":
-                    assert valuation(e, s.primes[0]) == vp
+                if sym == -1:  # inert
+                    assert valuation(e, ps[0]) * 2 == vp
+                elif sym == 0:  # ramified
+                    assert valuation(e, ps[0]) == vp
                 else:
-                    P, Pbar = s.primes
+                    P, Pbar = ps
                     assert valuation(e, P) + valuation(e, Pbar) == vp
-    assert kinds == {"split", "ramified", "inert"}
+    assert symbols == {1, 0, -1}
 
 
 def test_factor_principal_reassembles():
@@ -172,7 +172,7 @@ def test_factor_principal_unit_norm_element():
 
 
 def test_nth_root_ideal():
-    P = primes_above(-15, 2).primes[0]
+    P = primes_above(-15, 2)[0]
     F = FactoredIdeal(-15, ((P, 10),))
     R = nth_root_ideal(F, 5)
     assert R.norm() == 4
@@ -183,7 +183,7 @@ def test_nth_root_ideal():
 def test_ideal_to_form_and_class_order():
     h = quadform.class_number(-8120)
     one = principal_form(-8120)
-    P = primes_above(-8120, 3).primes[0]
+    P = primes_above(-8120, 3)[0]
     f = ideal_to_form(P)
     k = next(k for k in range(1, h + 1) if h % k == 0 and quadform.form_pow(f, k) == one)
     assert k == 10

@@ -212,8 +212,8 @@ def test_band_paths_match_enumeration():
     prime_power = ((-260, 9, 3, 2), (-100004, 162, 3, 4))
     for disc, a, p, k in prime_power:
         assert a % p**k == 0 and a in band(disc)
-    # a = s*q, q = 1 (mod 8): Tonelli-Shanks; q = 5 (mod 8): Atkin;
-    # q = 3 (mod 4): the closed form
+    # a = s*q, q in every class mod 8: Tonelli-Shanks with s = 1 (q = 3
+    # mod 4, no non-residue), s = 2 (q = 5 mod 8) and s >= 3 (q = 1 mod 8)
     large_q = (
         (-1012, 1, 17), (-100020, 2, 89), (-84, 1, 5), (-100004, 3, 53),
         (-1272, 1, 19), (-35, 1, 3), (-1364, 3, 7), (-696, 2, 7),
@@ -275,10 +275,31 @@ def test_class_numbers_rejects_any_non_fundamental():
         class_numbers([-15, -12])
 
 
+def test_band_memory_per_a():
+    """The band of one 40-bit discriminant is counted in one call, so its
+    candidates must stay few: under tracemalloc the peak stays within 40
+    bytes per a <= amax (about 30 are used; a band scanned without the CRT
+    bound breaks this limit)."""
+    import tracemalloc
+
+    disc = -1071645487559
+    amax = isqrt(-disc // 3)
+    assert amax == 597674
+    tracemalloc.start()
+    try:
+        h = class_number.__wrapped__(disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 1308306
+    assert peak <= 40 * amax, peak / amax
+
+
 def test_sqrt_mod_primes_matches_arith():
     """The vectorised square roots mod primes in every class mod 8,
     including p = 1 (mod 8) with a long power of 2 in p - 1 (12289 =
-    3*2^12 + 1, 65537 = 2^16 + 1), against arith.sqrt_of_residue."""
+    3*2^12 + 1, 65537 = 2^16 + 1), and arith.sqrt_of_residue, its scalar
+    twin: each root squares to n, and the two agree up to sign."""
     import numpy as np
 
     rng = random.Random(12)
@@ -288,7 +309,9 @@ def test_sqrt_mod_primes_matches_arith():
     roots = _sqrt_mod_primes(np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64)).tolist()
     for n, p, r in zip(ns, ps, roots):
         assert r * r % p == n, (n, p)
-        assert n == 0 or r in (arith.sqrt_of_residue(n, p), p - arith.sqrt_of_residue(n, p))
+        if n:
+            s = arith.sqrt_of_residue(n, p)
+            assert s * s % p == n and r in (s, p - s), (n, p)
 
 
 def test_enumerate_reduced_minus_15():
