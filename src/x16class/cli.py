@@ -168,7 +168,6 @@ def _cmd_census(args, cfg: Config) -> int:
         summary = x16.census(
             height,
             lambda rec: writer.write(_record_to_row(rec)),
-            cfg.budget(),
             cfg.worker_count,
         )
         writer.write(

@@ -121,7 +121,7 @@ class QIdeal:
             raise DiscriminantMismatch(f"{self.disc} != {other.disc}")
         f = ideal_to_form(self)
         g = ideal_to_form(other)
-        a3, b3, w = quadform._compose_raw(f, g)
+        a3, b3, w = quadform._compose_raw((f.a, f.b, f.c), (g.a, g.b, g.c))
         return QIdeal.make(self.disc, a3, b3, self.scal * other.scal * w)
 
     def inverse(self) -> "QIdeal":

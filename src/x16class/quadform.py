@@ -2,22 +2,26 @@
 
 Reduction, Gauss/Dirichlet composition, enumeration of reduced forms, class
 numbers, abelian group structure (elementary divisors) and the genus-theory
-2-rank.  Everything is exact.  class_numbers, the only performance-sensitive
-entry point, counts the reduced forms of many discriminants at once with a
-numpy sieve over the primes up to amax = sqrt(|disc|/3), in 2-D blocks with
-one row per discriminant.  Each block's band sqrt(|disc|)/2 < a <= amax,
-where the roots themselves are needed, is counted right after the block is
-sieved: square roots mod the prime powers of each a, largest prime first,
-joined by CRT while a scan would be long, then a direct test of the
-candidates b.  class_number is one class_numbers call.  The same primes
-decide that disc is fundamental, so class_numbers and class_group factor
-nothing; class_numbers refuses |disc| above CLASS_NUMBER_DISC_CAP, and
-class_group, which lists every reduced form, above CLASS_GROUP_DISC_CAP.
-enumerate_reduced lists the forms as the oracle.
+2-rank.  Everything is exact; reduction and composition run on (a, b, c)
+tuples, which the QuadForm API wraps.  class_numbers, the only
+performance-sensitive entry point, counts the reduced forms of many
+discriminants at once with a numpy sieve over the primes up to
+amax = sqrt(|disc|/3), in 2-D blocks with one row per discriminant; one
+modular exponentiation per (disc, p) serves Euler's criterion and the
+square roots.  Each block's band sqrt(|disc|)/2 < a <= amax, where the roots
+themselves are needed, is counted right after the block is sieved: square
+roots mod the prime powers of each a, largest prime first, joined by CRT
+while a scan would be long, then a direct test of the candidates b.
+class_number is one class_numbers call.  The same primes decide that disc is
+fundamental, so class_numbers and class_group factor nothing; class_numbers
+refuses |disc| above CLASS_NUMBER_DISC_CAP, and class_group, which lists
+every reduced form, above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists
+the forms as the oracle.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
@@ -61,9 +65,8 @@ def principal_form(disc: int) -> QuadForm:
     return QuadForm(1, b0, (b0 * b0 - disc) // 4)
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    """Gauss reduction: normalize b into (-a, a], swap while a > c."""
-    a, b, c = f.a, f.b, f.c
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Gauss reduction on (a, b, c): normalize b into (-a, a], swap while a > c."""
     while True:
         if a > c:
             a, b, c = c, -b, a
@@ -78,7 +81,12 @@ def reduce_form(f: QuadForm) -> QuadForm:
         break
     if (b == -a) or (a == c and b < 0):
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    """Gauss reduction (_reduce)."""
+    return QuadForm(*_reduce(f.a, f.b, f.c))
 
 
 def solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
@@ -91,8 +99,9 @@ def solve_linear_mod(a: int, b: int, m: int) -> tuple[int, int]:
     return x0, m0
 
 
-def _compose_raw(f: QuadForm, g: QuadForm) -> tuple[int, int, int]:
-    """Gauss composition without the final reduction.
+def _compose_raw(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gauss composition of two (a, b, c) of one discriminant, without the
+    final reduction.
 
     Returns (a3, b3, w): the (not necessarily reduced) form (a3, b3, *) is
     the primitive part of the product of the corresponding ideal lattices
@@ -100,10 +109,7 @@ def _compose_raw(f: QuadForm, g: QuadForm) -> tuple[int, int, int]:
     integer content, so the lattice product is exactly
     w * (a3 Z + ((b3+sqrt(disc))/2) Z) with a3 = a1*a2/w^2.
     """
-    if f.disc != g.disc:
-        raise DiscriminantMismatch(f"{f.disc} != {g.disc}")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2 = g.a, g.b
+    (a1, b1, c1), (a2, b2, _) = f, g
     gg = (b2 + b1) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), gg)
@@ -120,12 +126,19 @@ def _compose_raw(f: QuadForm, g: QuadForm) -> tuple[int, int, int]:
     return a3, b3, w
 
 
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Reduced representative of the product class."""
+def _compose(f: tuple[int, int, int], g: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
+    """Reduced (a, b, c) of the product class of f and g, of discriminant disc."""
     a3, b3, _ = _compose_raw(f, g)
     if b3 > a3:
         b3 -= 2 * a3
-    return reduce_form(QuadForm(a3, b3, (b3 * b3 - f.disc) // (4 * a3)))
+    return _reduce(a3, b3, (b3 * b3 - disc) // (4 * a3))
+
+
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """Reduced representative of the product class."""
+    if f.disc != g.disc:
+        raise DiscriminantMismatch(f"{f.disc} != {g.disc}")
+    return QuadForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), f.disc))
 
 
 def form_pow(f: QuadForm, k: int) -> QuadForm:
@@ -149,7 +162,7 @@ def _check_disc(disc: int):
         raise ValueError(f"{disc} is not a negative discriminant")
 
 
-# the sieve holds ~24 bytes per a <= sqrt(|disc|/3) (23.6 at -2^48 - 3), 3.7 GB
+# the sieve holds ~18 bytes per a <= sqrt(|disc|/3) (18.3 at -2^48 - 3), 2.8 GB
 # at this cap, and its int64 products stay exact; height 300 reaches 49 bits
 CLASS_NUMBER_DISC_CAP = 2**56
 
@@ -185,20 +198,22 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def _check_squarefree(discs: np.ndarray, amax: np.ndarray, primes: np.ndarray):
-    """ValueError unless d = disc or disc/4 is prime to p^2 for every prime
-    p <= amax of its row; primes must reach the largest amax.
+def _check_squarefree(discs: np.ndarray, odd: np.ndarray, dm: np.ndarray):
+    """ValueError if p^2 divides d = disc or disc/4 for an odd prime p in
+    odd; dm = discs mod odd, one row per disc.  odd must reach the largest
+    amax = isqrt(|disc| // 3).
 
-    The sieved primes decide squarefreeness exactly.  Let p^2 | d.  If
-    disc = 4d, p^2 <= |disc|/4 <= |disc| // 3, so p <= amax.  If
-    disc = d = 1 (mod 4) and p > amax, then p^2 > |disc|/3 and d/p^2 is -1
-    or -2: d = -p^2 = 3 (mod 4) or d is even, impossible.  The bound is
-    tight: disc = -3p^2 has amax = p."""
-    d = np.where(discs % 4 == 1, discs, discs // 4)
-    pr = primes[: np.searchsorted(primes, amax.max(), "right")]
-    bad = (d[:, None] % (pr * pr) == 0) & (pr <= amax[:, None])
-    if bad.any():
-        raise ValueError(f"{int(discs[bad.any(axis=1)][0])} is not a fundamental discriminant")
+    The sieved primes decide squarefreeness exactly.  p = 2 is settled by
+    the mod-4 rules (4 does not divide d), and an odd p^2 divides d only if
+    p divides disc.  Let p^2 | d.  If disc = 4d, p^2 <= |disc|/4 <= |disc| // 3,
+    so p <= amax.  If disc = d = 1 (mod 4) and p > amax, then p^2 > |disc|/3
+    and d/p^2 is -1 or -2: d = -p^2 = 3 (mod 4) or d is even, impossible.
+    The bound is tight: disc = -3p^2 has amax = p."""
+    rows, i = np.nonzero(dm == 0)
+    p = odd[i]
+    bad = rows[discs[rows] % (p * p) == 0]
+    if bad.size:
+        raise ValueError(f"{int(discs[bad[0]])} is not a fundamental discriminant")
 
 
 def _fundamental_primes(disc: int) -> np.ndarray:
@@ -206,9 +221,9 @@ def _fundamental_primes(disc: int) -> np.ndarray:
     fundamental (the order is maximal): disc = 1 (mod 4) squarefree, or 4d
     with d = 2, 3 (mod 4) squarefree (proof at _check_squarefree)."""
     _check_fundamental_shape(disc)
-    amax = isqrt(-disc // 3)
-    primes = _primes_upto(amax)
-    _check_squarefree(np.array([disc], dtype=np.int64), np.array([amax]), primes)
+    primes = _primes_upto(isqrt(-disc // 3))
+    d = np.array([disc], dtype=np.int64)
+    _check_squarefree(d, primes[1:], d[:, None] % primes[1:])
     return primes
 
 
@@ -239,17 +254,17 @@ def enumerate_reduced(disc: int) -> list[QuadForm]:
 
 
 def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod elementwise (broadcasting); exact in int64 for
-    mod < 2^31.5, and in int32, which is faster, while mod^2 < 2^31."""
+    """base^exp mod mod elementwise (broadcasting), for 0 <= base < mod: in
+    int32, which is faster, while mod^2 < 2^31, else in int64 (exact for
+    mod < 2^31.5); the result has that dtype."""
     dtype = np.int32 if mod.size and mod.max() < 46341 else np.int64
-    base, exp, mod = (base % mod).astype(dtype), exp.copy(), mod.astype(dtype)
-    out = np.ones_like(base)
-    while True:
-        out = np.where(exp & 1, out * base % mod, out)
-        exp >>= 1
-        if not exp.any():
-            return out.astype(np.int64)
-        base = base * base % mod
+    base, mod = base.astype(dtype), mod.astype(dtype)
+    out = np.ones(np.broadcast_shapes(base.shape, exp.shape), dtype)
+    for i in range(int(exp.max(initial=0)).bit_length()):
+        if i:
+            base = base * base % mod
+        out = out * (1 + ((exp >> i) & 1).astype(dtype) * (base - 1)) % mod  # times base where bit i is set
+    return out
 
 
 # odd primes to search for a non-residue mod p = 1 (mod 4): the least one is
@@ -257,21 +272,26 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 _NONRESIDUE_CANDIDATES = tuple(p for p in range(3, 300) if all(p % k for k in range(2, isqrt(p) + 1)))
 
 
-def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _tonelli_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For odd primes p, with p - 1 = q 2^s, q odd: the exponent (q-1)/2 of
+    the sieve's u, s, and c = z^q for a non-residue z where s >= 2 (0 where
+    s = 1), so c has order 2^s."""
+    low = (p - 1) & (1 - p)  # 2^s
+    q, s = (p - 1) // low, np.frexp(low.astype(float))[1] - 1
+    j = np.flatnonzero(s >= 2)
+    c = np.zeros(len(p), dtype=np.int32)  # p < 2^31, as for u
+    c[j] = _powmod(_nonresidues(p[j]), q[j], p[j])
+    return ((q - 1) >> 1).astype(np.int32), s.astype(np.int8), c
+
+
+def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """A square root of each n mod the odd prime p, for n a square mod p
     (nothing checks it), 0 for n = 0: Tonelli-Shanks (Cohen, GTM 138, Alg.
-    1.5.1), the twin of arith.sqrt_of_residue.  With p - 1 = q 2^s, q odd,
-    t = n^q is 1 at once when s = 1, so a non-residue z, with c = z^q of
-    order 2^s, is looked up only where s >= 2.  One _powmod call."""
-    low = (p - 1) & (1 - p)  # 2^s
-    q, m = (p - 1) // low, np.frexp(low.astype(float))[1] - 1
-    j = np.flatnonzero(m >= 2)
-    pw = _powmod(
-        np.concatenate([n, _nonresidues(p[j])]), np.concatenate([(q - 1) >> 1, q[j]]), np.concatenate([p, p[j]])
-    )
-    u, c = pw[: len(n)], np.zeros_like(p)  # u = n^((q-1)/2)
-    c[j] = pw[len(n) :]
-    r, t = u * n % p, u * u % p * n % p
+    1.5.1), the twin of arith.sqrt_of_residue, started from the sieve's
+    u = n^((q-1)/2), p - 1 = q 2^s: r = u n and t = u r = n^q, so t = 1 at
+    once when s = 1; s and c = z^q, of order 2^s, come from _tonelli_tables."""
+    u, c = u.astype(np.int64), c.astype(np.int64)
+    r, t, m = u * n % p, u * u % p * n % p, s.copy()
     act = np.flatnonzero(t > 1)  # t = 0 only for n = 0, where r = 0
     while act.size:
         pa, ta = p[act], t[act]
@@ -304,83 +324,99 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def _smooth_tables(amax: int, small: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _smooth_tables(amax: int, small: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rem[a], a with the small primes (p^2 <= amax) divided out, is 1 or one
     prime above sqrt(amax); lpf[a] is the largest small prime of a (0 when
-    there is none).  Neither depends on the discriminant."""
+    there is none) and lpe[a] its exponent in a.  None depends on the
+    discriminant."""
     rem = np.arange(amax + 1, dtype=np.int32)  # int32 holds every a
-    lpf = np.zeros(amax + 1, dtype=np.int32)
+    lpf = np.zeros(amax + 1, dtype=np.int16)  # small primes are below 2^14 at the cap
+    lpe = np.zeros(amax + 1, dtype=np.int8)
     for p in small:
         lpf[p::p] = p
-        pk = p
+        pk, e = p, 1
         while pk <= amax:
             rem[pk::pk] //= p
-            pk *= p
-    return rem, lpf
+            lpe[pk::pk] = e
+            pk, e = pk * p, e + 1
+    return rem, lpf, lpe
+
+
+# what class_numbers shares between its blocks, up to the largest amax: the
+# primes, the small ones (p^2 <= amax), rem, lpf and lpe (_smooth_tables),
+# and the _tonelli_tables (half_q, s, c) of the odd primes, primes[1:]
+_Tables = namedtuple("_Tables", "primes small rem lpf lpe half_q s c")
 
 
 def _sieve_block(
-    discs: np.ndarray, amax: np.ndarray, amid: np.ndarray,
-    primes: np.ndarray, small: list[int], rem: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    discs: np.ndarray, amax: np.ndarray, amid: np.ndarray, tab: _Tables
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One block of rows, one per discriminant (amax ascending), over
     0 <= a <= W = the last amax: g[row, a] = #{b mod 2a : b^2 = disc (mod 4a)}.
-    Returns the sums of g over 0 < a <= amid, and the band entries
-    amid < a <= amax with g > 0 as (row, a).
+    Returns the sums of g over 0 < a <= amid, the band entries
+    amid < a <= amax with g > 0 as (row, a), and u[row, i] =
+    disc^((q-1)/2) mod the odd prime p = primes[i + 1] <= W, p - 1 = q 2^s
+    (int32), from which _sqrt_mod_primes starts.
 
     g is multiplicative.  g(p^e) is 2 for a split p and 0 for an inert p; for
     a ramified p it is 1 when e = 1 and 0 when e >= 2.  Each row's symbols
     gp[row, p] come from Euler's criterion over all primes up to W at once,
-    2 from disc mod 8; the large prime rem[a] contributes gp[row, rem[a]]
-    and each small prime one strided update of all rows.
+    disc^((p-1)/2) = (u^2 disc)^(2^(s-1)), 2 from disc mod 8; the large prime
+    rem[a] contributes gp[row, rem[a]] and each small prime one strided
+    update of all rows.
     """
     R, W = len(discs), int(amax[-1])
-    _check_squarefree(discs, amax, primes)
-    pr = primes[: np.searchsorted(primes, W, "right")]
-    odd = pr[pr > 2]
+    n = np.searchsorted(tab.primes, W, "right")
+    odd = tab.primes[1:n]
+    dm = discs[:, None] % odd
+    _check_squarefree(discs, odd, dm)
+    u = _powmod(dm, tab.half_q[: n - 1], odd)
+    odd, dm, s = odd.astype(u.dtype), dm.astype(u.dtype), tab.s[: n - 1]
+    v = u * u % odd * dm % odd  # disc^q
+    for k in range(1, int(s.max(initial=1))):
+        j = np.flatnonzero(s > k)
+        v[:, j] = v[:, j] ** 2 % odd[j]
     gp = np.ones((R, W + 1), dtype=np.int8)
-    # Euler's criterion: disc^((p-1)/2) mod p is 1 (split), p-1 (inert) or 0
-    euler = _powmod(discs[:, None] % odd, (odd - 1) >> 1, odd)
-    gp[:, odd] = np.where(euler == 1, 2, euler == 0)
+    gp[:, odd] = (v + 1) % odd  # v = (disc/p) mod p, so 2 split, 1 ramified, 0 inert
     if W >= 2:
         m8 = discs % 8
         gp[:, 2] = np.where(m8 == 1, 2, np.where(m8 == 5, 0, 1))
-    g = gp[:, rem[: W + 1]].astype(np.int16)  # g(a) <= 2^8 for a < 2^28
-    for p in small:
+    g = gp[:, tab.rem[: W + 1]]
+    if W >= 510510:  # g(a) <= 2^omega(a): 2^6 below 2*3*5*7*11*13*17, 2^9 below 2^31
+        g = g.astype(np.int16)
+    for p in tab.small:
         if p > W:
             break
         m = gp[:, p, None]
         g[:, p::p] *= m
         g[:, p * p :: p * p] *= m != 1  # ramified: g(p^e) = 0 for e >= 2
-    cols = np.arange(W + 1)
     g[:, 0] = 0
-    g *= cols <= amax[:, None]
-    lo = cols <= amid[:, None]
-    h_lo = np.where(lo, g, 0).sum(axis=1, dtype=np.int64)
-    g *= ~lo
-    rows, a = np.nonzero(g)
-    return h_lo, rows, a
+    cols = np.arange(W + 1, dtype=np.int32)
+    h_lo = np.add.reduce(g, axis=1, dtype=np.int64, where=cols <= amid[:, None])
+    a0 = int(amid[0]) + 1  # the band starts after the least amid
+    band = cols[a0:]
+    rows, a = np.nonzero((g[:, a0:] > 0) & (band > amid[:, None]) & (band <= amax[:, None]))
+    return h_lo, rows, a + a0, u.astype(np.int32, copy=False)
 
 
-def _crt_step(ent, x, M, disc, idx, p, pk):
+def _crt_step(ent, x, M, disc, idx, e, pk, r):
     """One step of _band_counts' CRT loop: joins to the roots x mod M[ent] of
-    each entry in idx the roots of disc mod the prime power pk = p^k prime to
-    M: +-r, r from _sqrt_mod_primes and Hensel's lemma, or 0 when p | disc
-    (then k = 1, as g(a) > 0).  Returns the new (ent, x); M grows in place."""
+    each entry in idx the roots of disc mod the prime power pk = p^e prime to
+    M: +-r, r a root mod p lifted by Newton's iteration, or 0 when p | disc
+    (then e = 1, as g(a) > 0).  On the first step M is a power of 2, 2^j,
+    whose inverse mod pk is ((pk+1)/2)^j.  Returns the new (ent, x); M grows
+    in place."""
     d = disc[idx]
-    r = _sqrt_mod_primes(d % p, p)
-    lift = np.flatnonzero(pk > p)
-    if lift.size:  # Hensel: p splits, so 2r is a unit mod p
-        rl, pl, dl, kl = r[lift], p[lift], d[lift], pk[lift]
-        inv = _powmod(2 * rl, pl - 2, pl)
-        pe = pl.copy()
-        while (go := pe < kl).any():
-            t = (rl * rl - dl) // pe % pl * inv % pl
-            rl = np.where(go, (rl - t * pe) % (pe * pl), rl)
-            pe = np.where(go, pe * pl, pe)
-        r[lift] = rl
+    for k in np.flatnonzero(e > 1).tolist():  # p^2 | a, so p splits and r is a unit: few entries
+        rk, dk, m = int(r[k]), int(d[k]), int(pk[k])
+        for _ in range(int(e[k] - 1).bit_length()):  # each step doubles the p-adic precision
+            rk = (rk + dk * pow(rk, -1, m)) * ((m + 1) // 2) % m
+        r[k] = rk
     Mi = M[idx]
-    inv = _powmod(Mi, pk // p * (p - 1) - 1, pk)  # M^-1 mod pk, by Euler
+    if not (Mi & (Mi - 1)).any():
+        inv = _powmod((pk + 1) >> 1, np.frexp(Mi.astype(float))[1] - 1, pk)
+    else:  # the entries that one prime power left with too many candidates: few
+        inv = np.array([pow(m, -1, q) for m, q in zip(Mi.tolist(), pk.tolist())], dtype=np.int64)
     pos = np.full(len(M), -1)
     pos[idx] = np.arange(len(idx))
     rr = np.flatnonzero(pos[ent] >= 0)
@@ -393,19 +429,19 @@ def _crt_step(ent, x, M, disc, idx, p, pk):
     return np.concatenate([ent, ent[rr[two]]]), np.concatenate([x, x2])
 
 
-def _band_counts(disc, a, x2, rem, lpf) -> np.ndarray:
-    """Reduced forms (a, b, c) of each band entry (disc, a), g(a) > 0: the
-    roots b in (-a, a] of b^2 = disc (mod 4a) with c > a, or c = a and b >= 0,
-    i.e. |b| >= L = sqrt(4a^2 - |disc|).  x2 is a 2-adic root of disc
-    (disc = 1 mod 8).
+def _band_counts(disc, a, x2, rows, u, tab: _Tables) -> np.ndarray:
+    """Reduced forms (a, b, c) of each band entry (disc, a) of a block, g(a) >
+    0: the roots b in (-a, a] of b^2 = disc (mod 4a) with c > a, or c = a and
+    b >= 0, i.e. |b| >= L = sqrt(4a^2 - |disc|).  x2 is a 2-adic root of disc
+    (disc = 1 mod 8); rows and u are the block's (_sieve_block).
 
     The roots mod M | 2a start from those mod the power of 2 in 2a; the
     prime powers of the odd cofactor c join by CRT (_crt_step), largest prime
-    first (rem[c] while it is > 1, then lpf[c]), while more than _SCAN
-    candidates stand behind a root.  Each root x mod M then stands for the
-    b' = x (mod M) in [L, a], tested directly against 4a | b'^2 - disc: as
-    the roots mod M are closed under negation, these are the |b| of the
-    roots b."""
+    first (rem[c] while it is > 1, then lpf[c] to the power lpe[c]), while
+    more than _SCAN candidates stand behind a root.  Each root x mod M then
+    stands for the b' = x (mod M) in [L, a], tested directly against
+    4a | b'^2 - disc: as the roots mod M are closed under negation, these are
+    the |b| of the roots b."""
     n = len(a)
     lim = 4 * a * a + disc  # c >= a  <=>  b^2 >= lim
     lo = np.maximum(np.floor(np.sqrt(lim.astype(float))).astype(np.int64) - 1, 0)
@@ -418,18 +454,23 @@ def _band_counts(disc, a, x2, rem, lpf) -> np.ndarray:
     ent, x = np.concatenate([np.arange(n), pair]), np.concatenate([x, -x[pair] % M[pair]])
     while (idx := np.flatnonzero((cof > 1) & (span > _SCAN * M))).size:
         c = cof[idx]
-        p = np.where(rem[c] > 1, rem[c], lpf[c]).astype(np.int64)  # the largest prime of c
-        pk = p.copy()
-        while (more := c % (pk * p) == 0).any():
-            pk = np.where(more, pk * p, pk)
+        big = tab.rem[c] > 1
+        p = np.where(big, tab.rem[c], tab.lpf[c]).astype(np.int64)  # the largest prime of c
+        e = np.where(big, 1, tab.lpe[c])
+        pk = p**e
         cof[idx] = c // pk
-        ent, x = _crt_step(ent, x, M, disc, idx, p, pk)
-    Me, ae = M[ent], a[ent]
-    first = lo[ent] + (x - lo[ent]) % Me
-    cnt = np.where(first <= ae, (ae - first) // Me + 1, 0)
+        i = np.searchsorted(tab.primes, p) - 1  # p's index among the odd primes
+        r = _sqrt_mod_primes(disc[idx] % p, p, u[rows[idx], i], tab.s[i], tab.c[i])
+        ent, x = _crt_step(ent, x, M, disc, idx, e, pk, r)
+    del span, low, cof, x2  # the scan's arrays then fit where these were
+    Me = M[ent]
+    first = lo[ent] + (x - lo[ent]) % Me  # the least b' = x (mod M) with b' >= lo
+    cnt = np.maximum((a[ent] - first) // Me + 1, 0)
     row = np.repeat(np.arange(len(ent)), cnt)
     b = first[row] + Me[row] * (np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row])
+    del x, first, Me, cnt
     e = ent[row]
+    del row
     bb, le = b * b, lim[e]
     ok = ((bb - disc[e]) % (4 * a[e]) == 0) & (bb >= le)
     neg = ok & (b > 0) & (b < a[e]) & (bb > le)  # -b, too
@@ -445,9 +486,9 @@ def class_numbers(discs) -> list[int]:
     gives one with c > a, so that range is a sum over a sieve; only the band
     beyond needs the roots themselves (Cohen, GTM 138, section 5.3).  The
     distinct discriminants, sorted by amax, are sieved in 2-D blocks of about
-    _BLOCK entries, one row each, over one table of primes, rem and lpf up to
-    the largest amax; each block's band is counted right after its sieve, in
-    one _band_counts call.
+    _BLOCK entries, one row each, over one set of _Tables up to the largest
+    amax; each block's band is counted right after its sieve, in one
+    _band_counts call that takes its square roots from the sieve's powers.
 
     The count is h only for a fundamental disc, which the sieve's primes
     decide exactly, with no factoring (proof at _check_squarefree): else
@@ -464,7 +505,7 @@ def class_numbers(discs) -> list[int]:
     top = amax[-1]
     primes = _primes_upto(top)
     small = primes[primes * primes <= top].tolist()
-    rem, lpf = _smooth_tables(top, small)
+    tab = _Tables(primes, small, *_smooth_tables(top, small), *_tonelli_tables(primes[1:]))
     bits = top.bit_length() + 2  # b mod 2^(e+1) needs a root mod 2^(e+2), 2^e <= amax
     x2 = np.array([arith.lift_sqrt_2(disc % (1 << bits), bits) or 0 for disc in distinct], dtype=np.int64)
     dv, av = np.array(distinct, dtype=np.int64), np.array(amax, dtype=np.int64)
@@ -474,8 +515,8 @@ def class_numbers(discs) -> list[int]:
         j = i + 1  # rows while the block, padded to its last amax, stays within _BLOCK
         while j < len(distinct) and (j - i + 1) * (amax[j] + 1) <= _BLOCK:
             j += 1
-        h_lo, rows, a = _sieve_block(dv[i:j], av[i:j], mid[i:j], primes, small, rem)
-        np.add.at(h_lo, rows, _band_counts(dv[i:j][rows], a, x2[i:j][rows], rem, lpf))
+        h_lo, rows, a, u = _sieve_block(dv[i:j], av[i:j], mid[i:j], tab)
+        np.add.at(h_lo, rows, _band_counts(dv[i:j][rows], a, x2[i:j][rows], rows, u, tab))
         h += h_lo.tolist()
         i = j
     hs = dict(zip(distinct, h))

@@ -3,7 +3,10 @@
 f16(x) = x(x^2+1)(x^2+2x-1) defines the hyperelliptic model.  A rational
 non-cusp t = r/s in lowest terms with f16(t) < 0 gives a quadratic point
 over Q(sqrt(d)), where h16(r, s) = s^6 f16(r/s) = d m^2 with d squarefree;
-the census works with these integers.  The function
+the census works with these integers.  point_from_t factors h16 with
+arith.factor; the census reads the pieces r, s, r^2+s^2 and r^2+2rs-s^2 of
+h16 off one smallest-prime-factor table instead and calls no arith.factor,
+so the factoring budget does not reach it.  The function
 
     g(x, y) = (A(x) y + B(x)) / (x-1)^5,
     A = -6x^2-4x+2,  B = x^5+13x^4-2x^3+10x^2-7x+1,
@@ -17,9 +20,10 @@ down: B^2 - A^2 f16 = (x-1)^10, and U A + V B = 64 for integer polynomials
 U, V, so no odd prime divides both A and B.  With t = r/s this makes the
 fifth root the primitive ideal of norm (r-s)^2 (2-part removed) that
 contains the numerator of g(P); cl5_pullback reads it off by one modular
-inverse.  g_eval with quadfield.factor_principal and nth_root_ideal computes
-the same class by ideal factorisation and is kept as its oracle.  The
-subcommand `x16class verify-lemmas` checks both facts.
+inverse, with the form arithmetic on (a, b, c) tuples.  g_eval with
+quadfield.factor_principal and nth_root_ideal computes the same class by
+ideal factorisation and is kept as its oracle.  The subcommand
+`x16class verify-lemmas` checks both facts.
 
 The auxiliary sextic curve y^2 = z^6+z^5-5z^3+z+1 catalogues the possible
 exceptions; its x-image function needs a function-field normalization at
@@ -31,9 +35,12 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from math import gcd, isqrt
+from functools import lru_cache
+from itertools import chain
+from math import gcd, isqrt, prod
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import arith, quadform
 from .arith import FactorBudget, DEFAULT_BUDGET
@@ -148,7 +155,8 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
     where A_h = 0, is such a case.  The divisions by 32, b^2 = D (mod 4N) and
     f^5 = 1 (as f^4 = f^-1) are asserted, so a broken lemma raises rather
     than answers; g_eval with quadfield.factor_principal/nth_root_ideal is
-    the oracle.
+    the oracle.  The forms are (a, b, c) tuples until the QuadForm of the
+    result.
     """
     _check_pullback_point(p)
     r, s = p.t.numerator, p.t.denominator
@@ -160,7 +168,7 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
         assert x % 32 == 0 and y % 32 == 0, "alpha must be 32 alpha'"
         x, y, M = x // 32, y // 32, M // 2
     N = M * M
-    one = quadform.principal_form(D)
+    one = (1, D & 1, ((D & 1) - D) // 4)  # the principal form
     if N == 1:
         f = one
     else:
@@ -171,14 +179,14 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
             if (b - D) % 2:
                 b += N
         assert (b * b - D) % (4 * N) == 0, "b^2 = D (mod 4N) must hold"
-        f = quadform.reduce_form(QuadForm(N, b, (b * b - D) // (4 * N)))
+        f = quadform._reduce(N, b, (b * b - D) // (4 * N))
     if f == one:
         order = 1
     else:  # f^5 = 1 as f^4 = f^-1: two squarings
-        f2 = quadform.compose(f, f)
-        assert quadform.compose(f2, f2) == quadform.reduce_form(f.inverse()), "pullback class order must divide 5"
+        f2 = quadform._compose(f, f, D)
+        assert quadform._compose(f2, f2, D) == quadform._reduce(f[0], -f[1], f[2]), "pullback class order must divide 5"
         order = 5
-    return PullbackResult(p.t, D, f, order)
+    return PullbackResult(p.t, D, QuadForm(*f), order)
 
 
 def verify_lemmas() -> list[tuple[str, bool]]:
@@ -229,39 +237,74 @@ class CensusSummary:
 
 
 def census_parameters(height_bound: int) -> list[Fraction]:
-    """All candidate t = r/s in canonical order (|r|+|s|, r, s)."""
-    ts = []
-    for s in range(1, height_bound + 1):
-        for r in range(-height_bound, height_bound + 1):
-            # s^6 f16(r/s) has the sign of f16(r/s); f16 is 0 or 4 at the cusps
-            if h16_homogeneous(r, s) < 0 and gcd(r, s) == 1:
-                ts.append(Fraction(r, s))
-    ts.sort(key=lambda t: (abs(t.numerator) + t.denominator, t.numerator, t.denominator))
+    """All candidate t = r/s in canonical order (|r|+s, r, s), generated in
+    that order.  With n = |r| + s, h16(r, s) < 0 exactly when r < 0 and
+    -r > n/sqrt(2), or r > 0 and s > n/sqrt(2) (the roots of x^2+2x-1 are
+    -1 +- sqrt(2)); the smaller of |r| and s is then below (sqrt(2)-1) H, so
+    only the larger needs the bound H.  gcd(r, s) = gcd(r, n)."""
+    H, ts = height_bound, []
+    for n in range(2, 2 * H):
+        k = isqrt(n * n // 2)  # x > n/sqrt(2) <=> x > k
+        for r in chain(range(max(1 - n, -H), -k), range(max(1, n - H), n - k)):
+            if gcd(r, n) == 1:
+                ts.append(Fraction(r, n - abs(r)))
     return ts
 
 
+@lru_cache(maxsize=1)
+def _smallest_prime_factors(n: int) -> memoryview:
+    """The smallest prime factor of each 2 <= k <= n, read as spf[k] from one
+    int32 table, built at most once per process and n."""
+    spf = np.arange(n + 1, dtype=np.int32)
+    for p in reversed(quadform._primes_upto(isqrt(n)).tolist()):
+        spf[p * p :: p] = p
+    return memoryview(spf)
+
+
+def _census_points(ts: list[Fraction]) -> list[X16Point]:
+    """The points of point_from_t at census parameters (h16 < 0), with no
+    arith.factor call: the pieces r, s, r^2+s^2 and r^2+2rs-s^2 of h16(r, s),
+    at most 2H^2 in absolute value at height H, are read off a
+    smallest-prime-factor table up to 2H^2, and their exponents added (the
+    pieces need not be coprime)."""
+    height = max((max(abs(t.numerator), t.denominator) for t in ts), default=1)
+    spf = _smallest_prime_factors(2 * height * height)
+    points = []
+    for t in ts:
+        r, s = t.numerator, t.denominator
+        q = r * r + 2 * r * s - s * s
+        if r * q >= 0:
+            raise ValueError(f"census parameter {t} must have h16 < 0")
+        exps: dict[int, int] = {}
+        for n in (abs(r), s, r * r + s * s, abs(q)):
+            while n > 1:
+                p = spf[n]
+                exps[p] = exps.get(p, 0) + 1
+                n //= p
+        fd = sorted(p for p, e in exps.items() if e % 2)
+        m = prod(p ** (e // 2) for p, e in exps.items())
+        points.append(X16Point(t, -prod(fd), m, False, arith.FactoredInt(-1, tuple((p, 1) for p in fd))))
+    return points
+
+
 # the census checks its parameters this many at a time: one class_numbers
-# call per chunk, and a pool hands out whole chunks
-CENSUS_CHUNK = 256
+# call per chunk (a census of height <= 63 is one chunk), and a pool hands out
+# whole chunks
+CENSUS_CHUNK = 1024
 
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def census_chunk(ts: list[Fraction], effort: FactorBudget = DEFAULT_BUDGET) -> list[CensusRecord | str]:
-    """divisibility_check at each t, or the error it raised as "Type: message":
-    in a census, per-record failures are recorded, not fatal.  The class
-    numbers of the chunk's fields come from one class_numbers call; should
-    that raise, each record falls back to class_number and meets its own
-    error."""
-    points: list[X16Point | str] = []
-    for t in ts:
-        try:
-            points.append(point_from_t(t, effort))
-        except Exception as exc:
-            points.append(_error(exc))
-    discs = {p.disc for p in points if isinstance(p, X16Point) and not p.cusp and p.d < 0}
+def census_chunk(ts: list[Fraction]) -> list[CensusRecord | str]:
+    """divisibility_check at each census parameter t, or the error it raised
+    as "Type: message": in a census, per-record failures are recorded, not
+    fatal.  The points come from _census_points and the class numbers of
+    the chunk's fields from one class_numbers call; should that raise, each
+    record falls back to class_number and meets its own error."""
+    points = _census_points(ts)
+    discs = {p.disc for p in points}
     try:
         hs = dict(zip(discs, quadform.class_numbers(discs)))
     except Exception:
@@ -269,7 +312,7 @@ def census_chunk(ts: list[Fraction], effort: FactorBudget = DEFAULT_BUDGET) -> l
     records: list[CensusRecord | str] = []
     for p in points:
         try:
-            records.append(p if isinstance(p, str) else divisibility_check(p, hs.get(p.disc)))
+            records.append(divisibility_check(p, hs.get(p.disc)))
         except Exception as exc:
             records.append(_error(exc))
     return records
@@ -278,7 +321,6 @@ def census_chunk(ts: list[Fraction], effort: FactorBudget = DEFAULT_BUDGET) -> l
 def census(
     height_bound: int,
     sink: Optional[Callable[[CensusRecord], None]] = None,
-    effort: FactorBudget = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> CensusSummary:
     """Run divisibility_check on every non-cusp imaginary t of bounded height,
@@ -288,14 +330,13 @@ def census(
     summary = CensusSummary(height_bound)
     params = census_parameters(height_bound)
     chunks = [params[i : i + CENSUS_CHUNK] for i in range(0, len(params), CENSUS_CHUNK)]
-    check = partial(census_chunk, effort=effort)
     with ExitStack() as stack:
         if workers == 1:
-            results = map(check, chunks)
+            results = map(census_chunk, chunks)
         else:
             import multiprocessing  # here, not at the top: it slows start-up
 
-            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, chunks)
+            results = stack.enter_context(multiprocessing.Pool(workers)).imap(census_chunk, chunks)
         for ts, recs in zip(chunks, results):
             for t, rec in zip(ts, recs):
                 if isinstance(rec, str):

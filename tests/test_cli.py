@@ -122,22 +122,28 @@ def test_census_byte_identical_reruns(tmp_path):
 
 @pytest.mark.parametrize(
     "config, height, code",
-    [({"trial_bound": 10, "rho_iterations": 1}, 20, 2), ({}, 8, 0)],
+    [({"CLASS_NUMBER_DISC_CAP": 2**20}, 20, 2), ({}, 8, 0)],
 )
-def test_census_pool_matches_serial(tmp_path, capsys, config, height, code):
+def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, height, code):
     """worker_count 2 writes the same bytes as the serial census, error rows
-    included: a failing record is recorded, it does not abort the pool."""
+    included: a failing record is recorded, it does not abort the pool.
+    config lowers quadform's size cap, which the forked workers inherit, so
+    that the 30 records of height <= 20 whose |disc| exceeds 2^20 fail."""
+    for name, value in config.items():
+        monkeypatch.setattr(quadform, name, value)
+    quadform.class_number.cache_clear()  # a cached h would bypass the cap
     outputs = []
     for workers in (1, 2):
         cfgpath = tmp_path / f"cfg{workers}.json"
-        cfgpath.write_text(json.dumps({**config, "worker_count": workers}))
+        cfgpath.write_text(json.dumps({"worker_count": workers}))
         out = tmp_path / f"census{workers}.jsonl"
         argv = ["--config", str(cfgpath), "census", "--height", str(height), "--jsonl", str(out)]
         assert main(argv) == code
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     summary = json.loads(outputs[0].splitlines()[-1])
-    assert len(summary["errors"]) == (88 if code else 0)
+    assert len(summary["errors"]) == (30 if code else 0)
+    assert all(msg.startswith("BudgetExceeded: ") for _, msg in summary["errors"])
 
 
 @pytest.mark.parametrize(

@@ -278,7 +278,7 @@ def test_class_numbers_rejects_any_non_fundamental():
 def test_band_memory_per_a():
     """The band of one 40-bit discriminant is counted in one call, so its
     candidates must stay few: under tracemalloc the peak stays within 40
-    bytes per a <= amax (about 30 are used; a band scanned without the CRT
+    bytes per a <= amax (about 26 are used; a band scanned without the CRT
     bound breaks this limit)."""
     import tracemalloc
 
@@ -298,15 +298,23 @@ def test_band_memory_per_a():
 def test_sqrt_mod_primes_matches_arith():
     """The vectorised square roots mod primes in every class mod 8,
     including p = 1 (mod 8) with a long power of 2 in p - 1 (12289 =
-    3*2^12 + 1, 65537 = 2^16 + 1), and arith.sqrt_of_residue, its scalar
-    twin: each root squares to n, and the two agree up to sign."""
+    3*2^12 + 1, 65537 = 2^16 + 1), started from u = n^((q-1)/2) as the sieve
+    hands it over, and arith.sqrt_of_residue, its scalar twin: u and c = z^q
+    are the powers they claim to be, each root squares to n, and the two
+    agree up to sign."""
     import numpy as np
 
     rng = random.Random(12)
     ps = [p for p in range(3, 3000) if arith.is_probable_prime(p)] + [12289, 65537, 1000003]
     ps = [p for p in ps for _ in range(3)]
     ns = [rng.randrange(0, p) ** 2 % p for p in ps]
-    roots = _sqrt_mod_primes(np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64)).tolist()
+    n, p = np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64)
+    half_q, s, c = quadform._tonelli_tables(p)
+    u = quadform._powmod(n, half_q, p)
+    for n_, p_, h, s_, c_, u_ in zip(ns, ps, half_q.tolist(), s.tolist(), c.tolist(), u.tolist()):
+        assert (2 * h + 1) << s_ == p_ - 1 and u_ == pow(n_, h, p_), (n_, p_)
+        assert s_ == 1 or pow(c_, 1 << (s_ - 1), p_) == p_ - 1, p_  # order 2^s
+    roots = _sqrt_mod_primes(n, p, u, s, c).tolist()
     for n, p, r in zip(ns, ps, roots):
         assert r * r % p == n, (n, p)
         if n:

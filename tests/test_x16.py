@@ -157,15 +157,34 @@ def test_census_parameters_order_and_content():
     assert all(h16_homogeneous(t, 1) < 0 and t not in CUSPS for t in ts)
     keys = [(abs(t.numerator) + t.denominator, t.numerator, t.denominator) for t in ts]
     assert keys == sorted(keys)
-    # the integer sign test keeps exactly the t that the Fraction f16 keeps
-    by_fraction = {
-        Fraction(r, s)
-        for s in range(1, 21)
-        for r in range(-20, 21)
-        if gcd(r, s) == 1 and Fraction(r, s) not in CUSPS and h16_homogeneous(Fraction(r, s), 1) < 0
-    }
-    ts = census_parameters(20)
-    assert len(ts) == len(by_fraction) and set(ts) == by_fraction
+    # the integer bounds keep exactly the t that the Fraction f16 keeps, in
+    # canonical order, at every height
+    key = lambda t: (abs(t.numerator) + t.denominator, t.numerator, t.denominator)
+    for height in (1, 2, 3, 7, 20, 33):
+        by_fraction = {
+            Fraction(r, s)
+            for s in range(1, height + 1)
+            for r in range(-height, height + 1)
+            if gcd(r, s) == 1 and Fraction(r, s) not in CUSPS and h16_homogeneous(Fraction(r, s), 1) < 0
+        }
+        assert census_parameters(height) == sorted(by_fraction, key=key), height
+
+
+def test_census_points_match_point_from_t():
+    """The census trial-divides the pieces of h16 itself and carries
+    point_from_t's d, m and fd on every parameter of height <= 60."""
+    ts = census_parameters(60)
+    assert len(ts) == 912
+    assert x16._census_points(ts) == [point_from_t(t) for t in ts]
+
+
+def test_census_factors_nothing(monkeypatch):
+    """census(36) calls arith.factor zero times."""
+    factored = []
+    real_factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
+    summary = census(36)
+    assert factored == [] and summary.records == 328
 
 
 def test_census_height_10():
