@@ -263,7 +263,7 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     for i in range(int(exp.max(initial=0)).bit_length()):
         if i:
             base = base * base % mod
-        out = out * (1 + ((exp >> i) & 1).astype(dtype) * (base - 1)) % mod  # times base where bit i is set
+        out = np.where((exp >> i) & 1, out * base % mod, out)
     return out
 
 
@@ -381,9 +381,7 @@ def _sieve_block(
     if W >= 2:
         m8 = discs % 8
         gp[:, 2] = np.where(m8 == 1, 2, np.where(m8 == 5, 0, 1))
-    g = gp[:, tab.rem[: W + 1]]
-    if W >= 510510:  # g(a) <= 2^omega(a): 2^6 below 2*3*5*7*11*13*17, 2^9 below 2^31
-        g = g.astype(np.int16)
+    g = gp[:, tab.rem[: W + 1]].astype(np.int16)  # g(a) <= 2^omega(a) <= 2^9 for a < 2^31
     for p in tab.small:
         if p > W:
             break
@@ -399,24 +397,28 @@ def _sieve_block(
     return h_lo, rows, a + a0, u.astype(np.int32, copy=False)
 
 
-def _crt_step(ent, x, M, disc, idx, e, pk, r):
+def _crt_step(ent, x, M, disc, idx, p, pk, r):
     """One step of _band_counts' CRT loop: joins to the roots x mod M[ent] of
-    each entry in idx the roots of disc mod the prime power pk = p^e prime to
-    M: +-r, r a root mod p lifted by Newton's iteration, or 0 when p | disc
-    (then e = 1, as g(a) > 0).  On the first step M is a power of 2, 2^j,
-    whose inverse mod pk is ((pk+1)/2)^j.  Returns the new (ent, x); M grows
-    in place."""
+    each entry in idx the roots of disc mod the prime power pk = p^k prime to
+    M: +-r, r a root mod p (_sqrt_mod_primes) lifted by Hensel's lemma, or 0
+    when p | disc (then k = 1, as g(a) > 0).  Returns the new (ent, x); M
+    grows in place."""
     d = disc[idx]
-    for k in np.flatnonzero(e > 1).tolist():  # p^2 | a, so p splits and r is a unit: few entries
-        rk, dk, m = int(r[k]), int(d[k]), int(pk[k])
-        for _ in range(int(e[k] - 1).bit_length()):  # each step doubles the p-adic precision
-            rk = (rk + dk * pow(rk, -1, m)) * ((m + 1) // 2) % m
-        r[k] = rk
+    lift = np.flatnonzero(pk > p)
+    if lift.size:  # Hensel: p splits, so 2r is a unit mod p
+        rl, pl, dl, kl = r[lift], p[lift], d[lift], pk[lift]
+        inv = _powmod(2 * rl % pl, pl - 2, pl)
+        pe = pl.copy()
+        while (go := pe < kl).any():
+            t = (rl * rl - dl) // pe % pl * inv % pl
+            rl = np.where(go, (rl - t * pe) % (pe * pl), rl)
+            pe = np.where(go, pe * pl, pe)
+        r[lift] = rl
     Mi = M[idx]
-    if not (Mi & (Mi - 1)).any():
+    if not (Mi & (Mi - 1)).any():  # the first step: M = 2^j, and 1/2 = (pk+1)/2 mod pk
         inv = _powmod((pk + 1) >> 1, np.frexp(Mi.astype(float))[1] - 1, pk)
-    else:  # the entries that one prime power left with too many candidates: few
-        inv = np.array([pow(m, -1, q) for m, q in zip(Mi.tolist(), pk.tolist())], dtype=np.int64)
+    else:
+        inv = _powmod(Mi % pk, pk // p * (p - 1) - 1, pk)  # M^-1 mod pk, by Euler
     pos = np.full(len(M), -1)
     pos[idx] = np.arange(len(idx))
     rr = np.flatnonzero(pos[ent] >= 0)
@@ -461,7 +463,7 @@ def _band_counts(disc, a, x2, rows, u, tab: _Tables) -> np.ndarray:
         cof[idx] = c // pk
         i = np.searchsorted(tab.primes, p) - 1  # p's index among the odd primes
         r = _sqrt_mod_primes(disc[idx] % p, p, u[rows[idx], i], tab.s[i], tab.c[i])
-        ent, x = _crt_step(ent, x, M, disc, idx, e, pk, r)
+        ent, x = _crt_step(ent, x, M, disc, idx, p, pk, r)
     del span, low, cof, x2  # the scan's arrays then fit where these were
     Me = M[ent]
     first = lo[ent] + (x - lo[ent]) % Me  # the least b' = x (mod M) with b' >= lo

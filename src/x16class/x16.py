@@ -35,7 +35,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Callable, Optional
@@ -254,21 +254,21 @@ def census_parameters(height_bound: int) -> list[Fraction]:
 @lru_cache(maxsize=1)
 def _smallest_prime_factors(n: int) -> memoryview:
     """The smallest prime factor of each 2 <= k <= n, read as spf[k] from one
-    int32 table, built at most once per process and n."""
+    int32 table (4n bytes), built once per census height and process; the
+    census frees it when it ends."""
     spf = np.arange(n + 1, dtype=np.int32)
     for p in reversed(quadform._primes_upto(isqrt(n)).tolist()):
         spf[p * p :: p] = p
     return memoryview(spf)
 
 
-def _census_points(ts: list[Fraction]) -> list[X16Point]:
-    """The points of point_from_t at census parameters (h16 < 0), with no
-    arith.factor call: the pieces r, s, r^2+s^2 and r^2+2rs-s^2 of h16(r, s),
-    at most 2H^2 in absolute value at height H, are read off a
-    smallest-prime-factor table up to 2H^2, and their exponents added (the
-    pieces need not be coprime)."""
-    height = max((max(abs(t.numerator), t.denominator) for t in ts), default=1)
-    spf = _smallest_prime_factors(2 * height * height)
+def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
+    """The points of point_from_t at census parameters (h16 < 0) of height
+    at most H = height_bound, with no arith.factor call: the pieces r, s,
+    r^2+s^2 and r^2+2rs-s^2 of h16(r, s), at most 2H^2 in absolute value, are
+    read off a smallest-prime-factor table up to 2H^2, and their exponents
+    added (the pieces need not be coprime)."""
+    spf = _smallest_prime_factors(2 * height_bound * height_bound)
     points = []
     for t in ts:
         r, s = t.numerator, t.denominator
@@ -297,13 +297,14 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def census_chunk(ts: list[Fraction]) -> list[CensusRecord | str]:
-    """divisibility_check at each census parameter t, or the error it raised
-    as "Type: message": in a census, per-record failures are recorded, not
-    fatal.  The points come from _census_points and the class numbers of
-    the chunk's fields from one class_numbers call; should that raise, each
-    record falls back to class_number and meets its own error."""
-    points = _census_points(ts)
+def census_chunk(ts: list[Fraction], height_bound: int) -> list[CensusRecord | str]:
+    """divisibility_check at each census parameter t of height at most
+    height_bound, or the error it raised as "Type: message": in a census,
+    per-record failures are recorded, not fatal.  The points come from
+    _census_points and the class numbers of the chunk's fields from one
+    class_numbers call; should that raise, each record falls back to
+    class_number and meets its own error."""
+    points = _census_points(ts, height_bound)
     discs = {p.disc for p in points}
     try:
         hs = dict(zip(discs, quadform.class_numbers(discs)))
@@ -330,13 +331,15 @@ def census(
     summary = CensusSummary(height_bound)
     params = census_parameters(height_bound)
     chunks = [params[i : i + CENSUS_CHUNK] for i in range(0, len(params), CENSUS_CHUNK)]
+    check = partial(census_chunk, height_bound=height_bound)
     with ExitStack() as stack:
+        stack.callback(_smallest_prime_factors.cache_clear)
         if workers == 1:
-            results = map(census_chunk, chunks)
+            results = map(check, chunks)
         else:
             import multiprocessing  # here, not at the top: it slows start-up
 
-            results = stack.enter_context(multiprocessing.Pool(workers)).imap(census_chunk, chunks)
+            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, chunks)
         for ts, recs in zip(chunks, results):
             for t, rec in zip(ts, recs):
                 if isinstance(rec, str):

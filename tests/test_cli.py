@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -127,10 +128,12 @@ def test_census_byte_identical_reruns(tmp_path):
 def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, height, code):
     """worker_count 2 writes the same bytes as the serial census, error rows
     included: a failing record is recorded, it does not abort the pool.
-    config lowers quadform's size cap, which the forked workers inherit, so
-    that the 30 records of height <= 20 whose |disc| exceeds 2^20 fail."""
+    config lowers quadform's size cap, so that the 30 records of height
+    <= 20 whose |disc| exceeds 2^20 fail; the pool forks, whatever the
+    platform's default start method, so that its workers inherit the cap."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
     quadform.class_number.cache_clear()  # a cached h would bypass the cap
     outputs = []
     for workers in (1, 2):

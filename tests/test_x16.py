@@ -171,11 +171,12 @@ def test_census_parameters_order_and_content():
 
 
 def test_census_points_match_point_from_t():
-    """The census trial-divides the pieces of h16 itself and carries
-    point_from_t's d, m and fd on every parameter of height <= 60."""
+    """The census reads the pieces of h16 off its smallest-prime-factor table
+    and carries point_from_t's d, m and fd on every parameter of height
+    <= 60."""
     ts = census_parameters(60)
     assert len(ts) == 912
-    assert x16._census_points(ts) == [point_from_t(t) for t in ts]
+    assert x16._census_points(ts, 60) == [point_from_t(t) for t in ts]
 
 
 def test_census_factors_nothing(monkeypatch):
@@ -201,7 +202,7 @@ def test_census_chunk_falls_back_per_record(monkeypatch):
     that raises, each record asks class_number alone, so only the records
     whose own class number fails become error rows."""
     ts = census_parameters(12)
-    records = x16.census_chunk(ts)
+    records = x16.census_chunk(ts, 12)
     assert all(isinstance(r, x16.CensusRecord) for r in records)
     bad = records[5].disc
     real = quadform.class_numbers
@@ -215,7 +216,7 @@ def test_census_chunk_falls_back_per_record(monkeypatch):
     monkeypatch.setattr(quadform, "class_numbers", picky)
     quadform.class_number.cache_clear()
     expected = [r if r.disc != bad else "BudgetExceeded: over the cap" for r in records]
-    assert x16.census_chunk(ts) == expected
+    assert x16.census_chunk(ts, 12) == expected
     quadform.class_number.cache_clear()
 
 
