@@ -286,20 +286,23 @@ def _tonelli_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _sqrt_mod_primes(n: np.ndarray, p: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """A square root of each n mod the odd prime p, for n a square mod p
-    (nothing checks it), 0 for n = 0: Tonelli-Shanks (Cohen, GTM 138, Alg.
+    (else AssertionError), 0 for n = 0: Tonelli-Shanks (Cohen, GTM 138, Alg.
     1.5.1), the twin of arith.sqrt_of_residue, started from the sieve's
     u = n^((q-1)/2), p - 1 = q 2^s: r = u n and t = u r = n^q, so t = 1 at
     once when s = 1; s and c = z^q, of order 2^s, come from _tonelli_tables."""
     u, c = u.astype(np.int64), c.astype(np.int64)
     r, t, m = u * n % p, u * u % p * n % p, s.copy()
     act = np.flatnonzero(t > 1)  # t = 0 only for n = 0, where r = 0
-    while act.size:
-        pa, ta = p[act], t[act]
+    while act.size:  # m falls on every pass, so at most s passes
+        pa, ta, ma = p[act], t[act], m[act]
         i = np.zeros_like(ta)
-        while (go := ta != 1).any():  # the least i with t^(2^i) = 1
+        for _ in range(int(ma.max())):  # the least i with t^(2^i) = 1
+            if not (go := ta != 1).any():
+                break
             ta = np.where(go, ta * ta % pa, ta)
             i += go
-        b, e = c[act], m[act] - i - 1
+        assert (i < ma).all(), "n must be a square mod p and c of order 2^s"
+        b, e = c[act], ma - i - 1
         for k in range(int(e.max())):  # b = c^(2^(m-i-1))
             b = np.where(k < e, b * b % pa, b)
         b2 = b * b % pa

@@ -35,7 +35,6 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Callable, Optional
@@ -44,7 +43,7 @@ import numpy as np
 
 from . import arith, quadform
 from .arith import FactorBudget, DEFAULT_BUDGET
-from .errors import NotImaginary, NotOnCurve, SupportCollision
+from .errors import BudgetExceeded, NotImaginary, NotOnCurve, SupportCollision
 from .poly import MPolyZ
 from .quadfield import QFieldElem
 from .quadform import QuadForm
@@ -251,11 +250,9 @@ def census_parameters(height_bound: int) -> list[Fraction]:
     return ts
 
 
-@lru_cache(maxsize=1)
 def _smallest_prime_factors(n: int) -> memoryview:
     """The smallest prime factor of each 2 <= k <= n, read as spf[k] from one
-    int32 table (4n bytes), built once per census height and process; the
-    census frees it when it ends."""
+    int32 table (4n bytes)."""
     spf = np.arange(n + 1, dtype=np.int32)
     for p in reversed(quadform._primes_upto(isqrt(n)).tolist()):
         spf[p * p :: p] = p
@@ -266,8 +263,8 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     """The points of point_from_t at census parameters (h16 < 0) of height
     at most H = height_bound, with no arith.factor call: the pieces r, s,
     r^2+s^2 and r^2+2rs-s^2 of h16(r, s), at most 2H^2 in absolute value, are
-    read off a smallest-prime-factor table up to 2H^2, and their exponents
-    added (the pieces need not be coprime)."""
+    read off one smallest-prime-factor table up to 2H^2, freed on return, and
+    their exponents added (the pieces need not be coprime)."""
     spf = _smallest_prime_factors(2 * height_bound * height_bound)
     points = []
     for t in ts:
@@ -287,36 +284,9 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     return points
 
 
-# the census checks its parameters this many at a time: one class_numbers
-# call per chunk (a census of height <= 63 is one chunk), and a pool hands out
-# whole chunks
-CENSUS_CHUNK = 1024
-
-
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def census_chunk(ts: list[Fraction], height_bound: int) -> list[CensusRecord | str]:
-    """divisibility_check at each census parameter t of height at most
-    height_bound, or the error it raised as "Type: message": in a census,
-    per-record failures are recorded, not fatal.  The points come from
-    _census_points and the class numbers of the chunk's fields from one
-    class_numbers call; should that raise, each record falls back to
-    class_number and meets its own error."""
-    points = _census_points(ts, height_bound)
-    discs = {p.disc for p in points}
-    try:
-        hs = dict(zip(discs, quadform.class_numbers(discs)))
-    except Exception:
-        hs = {}
-    records: list[CensusRecord | str] = []
-    for p in points:
-        try:
-            records.append(divisibility_check(p, hs.get(p.disc)))
-        except Exception as exc:
-            records.append(_error(exc))
-    return records
+# the census sends its distinct discriminants to class_numbers this many at a
+# time (a census of height <= 63 is one batch), and a pool takes whole batches
+CENSUS_CHUNK = 512
 
 
 def census(
@@ -324,34 +294,46 @@ def census(
     sink: Optional[Callable[[CensusRecord], None]] = None,
     workers: int = 1,
 ) -> CensusSummary:
-    """Run divisibility_check on every non-cusp imaginary t of bounded height,
-    CENSUS_CHUNK parameters at a time, in this process or in a pool of
-    `workers` processes.  Either way, each chunk's records reach `sink` as
-    the chunk is done, in canonical order."""
+    """Run divisibility_check on every non-cusp imaginary t of bounded height;
+    each record reaches `sink` in canonical order as soon as its h is known.
+
+    The points are built once, here.  The distinct discriminants up to
+    quadform.CLASS_NUMBER_DISC_CAP go to quadform.class_numbers CENSUS_CHUNK
+    at a time, so each field is sieved once; with several batches, a pool of
+    `workers` processes runs those calls and nothing else.  A record over the
+    cap becomes an error row "Type: message": class_number's cap check raises
+    BudgetExceeded before it allocates.  A census discriminant is fundamental
+    (d is squarefree, D = d or 4d), so any exception from class_numbers is a
+    bug and propagates."""
     summary = CensusSummary(height_bound)
-    params = census_parameters(height_bound)
-    chunks = [params[i : i + CENSUS_CHUNK] for i in range(0, len(params), CENSUS_CHUNK)]
-    check = partial(census_chunk, height_bound=height_bound)
+    points = _census_points(census_parameters(height_bound), height_bound)
+    distinct = dict.fromkeys(p.disc for p in points)  # the first batch serves the first records
+    hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
+    discs = [D for D in distinct if D not in hs]
+    batches = [discs[i : i + CENSUS_CHUNK] for i in range(0, len(discs), CENSUS_CHUNK)]
     with ExitStack() as stack:
-        stack.callback(_smallest_prime_factors.cache_clear)
-        if workers == 1:
-            results = map(check, chunks)
+        if workers == 1 or len(batches) < 2:
+            results = map(quadform.class_numbers, batches)
         else:
             import multiprocessing  # here, not at the top: it slows start-up
 
-            results = stack.enter_context(multiprocessing.Pool(workers)).imap(check, chunks)
-        for ts, recs in zip(chunks, results):
-            for t, rec in zip(ts, recs):
-                if isinstance(rec, str):
-                    summary.errors.append((t, rec))
-                    continue
-                summary.records += 1
-                if rec.d == -15:
-                    summary.exceptions.append(t)
-                elif not rec.div10:
-                    summary.violations.append(t)
-                if sink is not None:
-                    sink(rec)
+            results = stack.enter_context(multiprocessing.Pool(workers)).imap(quadform.class_numbers, batches)
+        done = zip(batches, results)
+        for p in points:
+            while p.disc not in hs:
+                hs.update(zip(*next(done)))
+            try:
+                rec = divisibility_check(p, hs[p.disc])
+            except BudgetExceeded as exc:
+                summary.errors.append((p.t, f"{type(exc).__name__}: {exc}"))
+                continue
+            summary.records += 1
+            if rec.d == -15:
+                summary.exceptions.append(p.t)
+            elif not rec.div10:
+                summary.violations.append(p.t)
+            if sink is not None:
+                sink(rec)
     return summary
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import x16class
-from x16class import cli, quadform
+from x16class import cli, quadform, x16
 from x16class.cli import Config, load_config, main
 
 
@@ -129,11 +129,14 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     """worker_count 2 writes the same bytes as the serial census, error rows
     included: a failing record is recorded, it does not abort the pool.
     config lowers quadform's size cap, so that the 30 records of height
-    <= 20 whose |disc| exceeds 2^20 fail; the pool forks, whatever the
-    platform's default start method, so that its workers inherit the cap."""
+    <= 20 whose |disc| exceeds 2^20 fail.  The cap is checked in the parent,
+    so this holds under any start method.  Batches of 4 fields make several
+    at either height, so the pool runs."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(x16, "CENSUS_CHUNK", 4)
+    pools, real_pool = [], multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", lambda n: pools.append(n) or real_pool(n))
     quadform.class_number.cache_clear()  # a cached h would bypass the cap
     outputs = []
     for workers in (1, 2):
@@ -143,7 +146,7 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
         argv = ["--config", str(cfgpath), "census", "--height", str(height), "--jsonl", str(out)]
         assert main(argv) == code
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert pools == [2] and outputs[0] == outputs[1]
     summary = json.loads(outputs[0].splitlines()[-1])
     assert len(summary["errors"]) == (30 if code else 0)
     assert all(msg.startswith("BudgetExceeded: ") for _, msg in summary["errors"])

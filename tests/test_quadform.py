@@ -322,6 +322,21 @@ def test_sqrt_mod_primes_matches_arith():
             assert s * s % p == n and r in (s, p - s), (n, p)
 
 
+def test_sqrt_mod_primes_refuses_bad_input():
+    """Tonelli-Shanks raises, rather than loops for ever, on a non-square n
+    (3 mod 17, where s = 4) and on a c not of order 2^s (c = 1 with n = 2,
+    a square mod 17), with u as the sieve builds it."""
+    import numpy as np
+    import pytest
+
+    p = np.array([17], dtype=np.int64)
+    half_q, s, c = quadform._tonelli_tables(p)
+    for n, c in ((3, c), (2, np.ones_like(c))):
+        n = np.array([n], dtype=np.int64)
+        with pytest.raises(AssertionError):
+            _sqrt_mod_primes(n, p, quadform._powmod(n, half_q, p), s, c)
+
+
 def test_enumerate_reduced_minus_15():
     assert [(f.a, f.b, f.c) for f in enumerate_reduced(-15)] == [(1, 1, 4), (2, 1, 2)]
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from x16class import arith, quadfield, quadform, x16
-from x16class.errors import BudgetExceeded, NotImaginary, NotOnCurve, SupportCollision
+from x16class.errors import NotImaginary, NotOnCurve, SupportCollision
 from x16class.poly import MPolyZ
 from x16class.quadform import reduce_form
 from x16class.x16 import (
@@ -197,27 +197,59 @@ def test_census_height_10():
     assert all(r.div10 for r in records if r.d != -15)
 
 
-def test_census_chunk_falls_back_per_record(monkeypatch):
-    """A chunk takes its class numbers from one class_numbers call; when
-    that raises, each record asks class_number alone, so only the records
-    whose own class number fails become error rows."""
-    ts = census_parameters(12)
-    records = x16.census_chunk(ts, 12)
-    assert all(isinstance(r, x16.CensusRecord) for r in records)
-    bad = records[5].disc
+def _count_class_numbers(monkeypatch, stub=False):
+    """Replace quadform.class_numbers by a wrapper that logs each batch it is
+    sent; with stub, every h it returns is 0, for a census that only counts."""
+    batches = []
     real = quadform.class_numbers
 
-    def picky(discs):
-        discs = list(discs)
-        if bad in discs:
-            raise BudgetExceeded("over the cap")
-        return real(discs)
+    def counting(discs):
+        batches.append(list(discs))
+        return [0] * len(discs) if stub else real(discs)
 
-    monkeypatch.setattr(quadform, "class_numbers", picky)
+    monkeypatch.setattr(quadform, "class_numbers", counting)
+    return batches
+
+
+def test_census_sieves_each_field_once(monkeypatch):
+    """class_numbers is sent every field of the census once: 1 259 rows for
+    the 1 259 fields of height <= 100 (h stubbed to 0, as only the rows
+    count)."""
+    batches = _count_class_numbers(monkeypatch, stub=True)
+    census(100)
+    rows = [D for batch in batches for D in batch]
+    fields = {p.disc for p in x16._census_points(census_parameters(100), 100)}
+    assert len(rows) == len(fields) == 1259 and set(rows) == fields
+
+
+def test_census_over_cap_records_only_become_errors(monkeypatch):
+    """With the cap at 2^20, the 35 fields of height <= 20 below it go to
+    class_numbers in one batch, and exactly the 30 records whose field is
+    above it become BudgetExceeded rows: each asks class_number, whose
+    one-field call raises at the cap check."""
+    monkeypatch.setattr(quadform, "CLASS_NUMBER_DISC_CAP", 2**20)
+    quadform.class_number.cache_clear()  # a cached h would bypass the cap
+    batches = _count_class_numbers(monkeypatch)
+    summary = census(20)
     quadform.class_number.cache_clear()
-    expected = [r if r.disc != bad else "BudgetExceeded: over the cap" for r in records]
-    assert x16.census_chunk(ts, 12) == expected
-    quadform.class_number.cache_clear()
+    first, *single = batches
+    assert len(first) == 35 and max(-D for D in first) <= 2**20
+    over = [p for p in x16._census_points(census_parameters(20), 20) if -p.disc > 2**20]
+    assert single == [[p.disc] for p in over] and len(over) == 30
+    assert summary.records == 74 and [t for t, _ in summary.errors] == [p.t for p in over]
+    assert all(msg.startswith("BudgetExceeded: |disc| = ") for _, msg in summary.errors)
+
+
+def test_census_streams_records(monkeypatch):
+    """A record reaches the sink as soon as its class number is known: with
+    batches of 16 fields, the first record arrives before the second
+    class_numbers call, and the records come in census_parameters order."""
+    monkeypatch.setattr(x16, "CENSUS_CHUNK", 16)
+    batches = _count_class_numbers(monkeypatch)
+    records, calls_at_first = [], []
+    census(20, lambda rec: records.append(rec) or calls_at_first.append(len(batches)))
+    assert calls_at_first[0] == 1 and len(batches) == 4
+    assert [rec.t for rec in records] == census_parameters(20)
 
 
 def test_y16_membership_and_images():
