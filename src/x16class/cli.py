@@ -7,7 +7,10 @@ closed standard output early (128 + SIGPIPE, as for ``yes | head``).  All big
 integers are serialized as decimal strings so JSON consumers never lose
 precision.  Identical configuration (including the RNG seed) produces
 byte-identical output files, whatever the worker count: census records
-stream to the output as they are made, in canonical parameter order.
+stream to the output as they are made, in canonical parameter order, and
+name no worker count.  The census runs on at most worker_count processes, by
+default one per CPU this process may use (one where os.fork is missing; `env`
+prints that count), and on fewer when its fields are too few to repay a fork.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -38,12 +41,21 @@ EXIT_USAGE = 3
 EXIT_PIPE = 141
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is not
+    reported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class Config:
     trial_bound: int = 10000
     rho_iterations: int = 500000
     rng_seed: int = 1
-    worker_count: int = 1
+    worker_count: int = field(default_factory=_usable_cpus)
     format: str = "jsonl"
 
     def __post_init__(self):
@@ -277,6 +289,8 @@ def _cmd_env(args, cfg: Config) -> int:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "cpu_count": os.cpu_count(),
+                "workers": x16.census_processes(cfg.worker_count),
+                "fork": x16.FORK,
                 "platform": platform.platform(),
             }
         )
@@ -338,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_pi2)
 
-    p = sub.add_parser("env", help="print the package, Python and numpy versions, CPU count and platform")
+    p = sub.add_parser("env", help="print versions, CPU count, census workers, fork support and platform")
     p.set_defaults(handler=_cmd_env)
 
     return ap

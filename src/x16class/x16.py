@@ -32,12 +32,15 @@ one point where the printed formula degenerates to 0/0.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+import os
+import pickle
+import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, isqrt, prod
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 import numpy as np
 
@@ -284,9 +287,119 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     return points
 
 
-# the census sends its distinct discriminants to class_numbers this many at a
-# time (a census of height <= 63 is one batch), and a pool takes whole batches
+# the most fields one class_numbers call of the census is sent
 CENSUS_CHUNK = 512
+
+# the least summed isqrt(|D| // 3) of the fields (class_numbers' sieve cost)
+# that each census process is given.  On a 2-vCPU machine a second process
+# lost 6-11 ms at heights 12-25 (shares up to 33 000), won or lost ~3 ms at
+# height 30 (81 000 each) and won ~10 ms at heights 33-34 (131 000-166 000
+# each).  150 000 puts height 36 (394 592) on two processes on any host, the
+# one count measured there.
+CENSUS_MIN_WORK = 150_000
+
+# where os.fork is missing the census runs in one process
+FORK = hasattr(os, "fork")
+
+
+def census_processes(workers: int) -> int:
+    """The most processes census(..., workers) runs on."""
+    return workers if FORK else 1
+
+
+def _census_batches(discs: list[int], workers: int) -> tuple[int, list[list[int]]]:
+    """(w, batches): discs cut into contiguous batches, in order, batch k for
+    process k % w, process 0 being the calling one.  w is at most
+    census_processes(workers) and gives each process at least
+    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), what class_numbers' sieve
+    costs (w = 1 if the census is smaller).  There are
+    w * ceil(len(discs) / (w * CENSUS_CHUNK)) batches (at most one per
+    field) of about equal summed cost, each of 1 to CENSUS_CHUNK fields."""
+    n = len(discs)
+    if n == 0:
+        return 1, []
+    cost = list(accumulate(isqrt(-D // 3) for D in discs))
+    w = max(1, min(census_processes(workers), n, cost[-1] // CENSUS_MIN_WORK))
+    b = min(n, w * -(-n // (w * CENSUS_CHUNK)))
+    cuts = [0]
+    for k in range(1, b):
+        # the b - k batches left hold 1 to CENSUS_CHUNK fields each
+        low = max(cuts[-1] + 1, n - (b - k) * CENSUS_CHUNK)
+        high = min(cuts[-1] + CENSUS_CHUNK, n - (b - k))
+        cuts.append(min(max(bisect_left(cost, cost[-1] * k / b), low), high))
+    cuts.append(n)
+    return w, [discs[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _fork_worker(batches: list[list[int]]) -> tuple[int, BinaryIO]:
+    """A child process that sends (True, class_numbers(batch)) for each batch,
+    in order, pickled over a pipe, or (False, exception) for the first that
+    raises, and ends; returns its pid and the pipe's read end.  The child
+    leaves only through os._exit, so it never flushes the parent's buffered
+    output or runs its atexit handlers."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns at a fork with threads running (OpenBLAS
+            # starts idle ones at numpy import); the child needs no lock of
+            # theirs: class_numbers' numpy sieve calls no BLAS
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            for batch in batches:
+                try:
+                    ok, value = True, quadform.class_numbers(batch)
+                except Exception as exc:
+                    ok, value = False, exc
+                out.write(pickle.dumps((ok, value)))
+                out.flush()
+                if not ok:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _class_numbers_by_batch(batches: list[list[int]], workers: int):
+    """quadform.class_numbers of each batch, yielded in batch order, with
+    workers <= len(batches).  Batch k is computed by worker k % workers:
+    worker 0 is this process, which
+    computes a batch when it is asked for; each other worker is a forked child
+    (_fork_worker) that computes its batches in order while this one works.
+    A child's exception is raised here; a child that ends without a result
+    raises RuntimeError.  Closing the generator, or its raising, kills and
+    reaps every child."""
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_worker(batches[w::workers]))
+        for k, batch in enumerate(batches):
+            if k % workers == 0:
+                yield quadform.class_numbers(batch)
+                continue
+            pid, pipe = children[k % workers - 1]
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"census worker {pid} ended without the class numbers of batch {k}") from exc
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL (9 in POSIX); importing signal costs ~1 ms
+            os.waitpid(pid, 0)
 
 
 def census(
@@ -298,26 +411,27 @@ def census(
     each record reaches `sink` in canonical order as soon as its h is known.
 
     The points are built once, here.  The distinct discriminants up to
-    quadform.CLASS_NUMBER_DISC_CAP go to quadform.class_numbers CENSUS_CHUNK
-    at a time, so each field is sieved once; with several batches, a pool of
-    `workers` processes runs those calls and nothing else.  A record over the
-    cap becomes an error row "Type: message": class_number's cap check raises
-    BudgetExceeded before it allocates.  A census discriminant is fundamental
-    (d is squarefree, D = d or 4d), so any exception from class_numbers is a
-    bug and propagates."""
+    quadform.CLASS_NUMBER_DISC_CAP, in order of first appearance, are cut
+    into batches (_census_batches), each sent to quadform.class_numbers once,
+    on w <= workers processes, as many as the fields' cost repays
+    (CENSUS_MIN_WORK each): this process computes batch 0 and every w-th
+    batch after it when a record first needs one, and w - 1 forked children
+    compute the rest at the same time (_class_numbers_by_batch).  So each
+    field is sieved once, and the records and their order do not depend on
+    `workers`.  No child outlives the call.  A record over the cap becomes an
+    error row "Type: message": class_number's cap check raises BudgetExceeded
+    before it allocates.  A census discriminant is fundamental (d is
+    squarefree, D = d or 4d), so any exception from class_numbers is a bug
+    and propagates."""
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     summary = CensusSummary(height_bound)
     points = _census_points(census_parameters(height_bound), height_bound)
     distinct = dict.fromkeys(p.disc for p in points)  # the first batch serves the first records
     hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
-    discs = [D for D in distinct if D not in hs]
-    batches = [discs[i : i + CENSUS_CHUNK] for i in range(0, len(discs), CENSUS_CHUNK)]
-    with ExitStack() as stack:
-        if workers == 1 or len(batches) < 2:
-            results = map(quadform.class_numbers, batches)
-        else:
-            import multiprocessing  # here, not at the top: it slows start-up
-
-            results = stack.enter_context(multiprocessing.Pool(workers)).imap(quadform.class_numbers, batches)
+    workers, batches = _census_batches([D for D in distinct if D not in hs], workers)
+    results = _class_numbers_by_batch(batches, workers)
+    try:
         done = zip(batches, results)
         for p in points:
             while p.disc not in hs:
@@ -334,6 +448,8 @@ def census(
                 summary.violations.append(p.t)
             if sink is not None:
                 sink(rec)
+    finally:
+        results.close()
     return summary
 
 

@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -121,32 +120,44 @@ def test_census_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "config, height, code",
     [({"CLASS_NUMBER_DISC_CAP": 2**20}, 20, 2), ({}, 8, 0)],
 )
 def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, height, code):
-    """worker_count 2 writes the same bytes as the serial census, error rows
-    included: a failing record is recorded, it does not abort the pool.
+    """worker_count 2 and 3 write the same bytes as worker_count 1, error rows
+    included: a failing record is recorded, it does not abort the census.
     config lowers quadform's size cap, so that the 30 records of height
     <= 20 whose |disc| exceeds 2^20 fail.  The cap is checked in the parent,
-    so this holds under any start method.  Batches of 4 fields make several
-    at either height, so the pool runs."""
+    before any fork.  With batches of at most 4 fields, and any cost enough
+    for a fork, the 35 fields below the cap at height 20 make 10 or 9
+    batches dealt round-robin, the 8 fields of height 8 one batch per
+    worker; either way each worker beyond the first is one forked child, and
+    none is left after the census."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
     monkeypatch.setattr(x16, "CENSUS_CHUNK", 4)
-    pools, real_pool = [], multiprocessing.Pool
-    monkeypatch.setattr(multiprocessing, "Pool", lambda n: pools.append(n) or real_pool(n))
+    monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     quadform.class_number.cache_clear()  # a cached h would bypass the cap
-    outputs = []
-    for workers in (1, 2):
+    outputs, children = [], []
+    for workers in (1, 2, 3):
         cfgpath = tmp_path / f"cfg{workers}.json"
         cfgpath.write_text(json.dumps({"worker_count": workers}))
         out = tmp_path / f"census{workers}.jsonl"
         argv = ["--config", str(cfgpath), "census", "--height", str(height), "--jsonl", str(out)]
+        forks.clear()
         assert main(argv) == code
+        _no_child_left()
+        children.append(len(forks))
         outputs.append(out.read_bytes())
-    assert pools == [2] and outputs[0] == outputs[1]
+    assert children == [0, 1, 2] and outputs[0] == outputs[1] == outputs[2]
     summary = json.loads(outputs[0].splitlines()[-1])
     assert len(summary["errors"]) == (30 if code else 0)
     assert all(msg.startswith("BudgetExceeded: ") for _, msg in summary["errors"])
@@ -275,12 +286,19 @@ def test_usage_errors(capsys):
         assert "--height" in capsys.readouterr().err
 
 
-def test_env(capsys):
+def test_env(capsys, monkeypatch):
     assert main(["env"]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert list(rec) == ["x16class", "python", "numpy", "cpu_count", "platform"]
+    assert list(rec) == ["x16class", "python", "numpy", "cpu_count", "workers", "fork", "platform"]
     assert rec["x16class"] == x16class.__version__
     assert rec["cpu_count"] == os.cpu_count()
+    # the census's default worker count: one per CPU this process may use
+    assert rec["fork"] is hasattr(os, "fork")
+    assert rec["workers"] == (len(os.sched_getaffinity(0)) if rec["fork"] else 1)
+    monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
+    assert main(["env"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["workers"] == 1 and rec["fork"] is False
 
 
 def test_python_dash_m(tmp_path):
@@ -299,9 +317,12 @@ def test_python_dash_m(tmp_path):
     assert run("no-such-command").returncode == 3
 
 
-def test_census_into_closed_pipe(tmp_path):
+def test_census_into_closed_pipe(tmp_path, monkeypatch):
     """A reader that stops after one line (``| head -1``) ends the census
-    with exit 141 and no traceback, not with exit 1, which means a violation."""
+    with exit 141 and no traceback, not with exit 1, which means a violation.
+    The census runs with the default worker count, forked when there are
+    several CPUs; in process, with 2 workers and the pipe's reader closed at
+    once, the write that fails kills and reaps the child."""
     env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
     with subprocess.Popen(
         [sys.executable, "-m", "x16class", "census", "--height", "36"],
@@ -314,3 +335,11 @@ def test_census_into_closed_pipe(tmp_path):
     assert json.loads(first)["t_num"] == "-3"
     assert "Traceback" not in stderr
     assert code == 141, stderr
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"worker_count": 2}))
+        assert main(["--config", str(cfgpath), "census", "--height", "36"]) == 141
+    _no_child_left()

@@ -1,7 +1,9 @@
 """The parameter-to-class-group pipeline and the auxiliary sextic curve."""
 
+import os
+import warnings
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -250,6 +252,112 @@ def test_census_streams_records(monkeypatch):
     census(20, lambda rec: records.append(rec) or calls_at_first.append(len(batches)))
     assert calls_at_first[0] == 1 and len(batches) == 4
     assert [rec.t for rec in records] == census_parameters(20)
+
+
+@pytest.mark.parametrize(
+    "height, workers, chunk, min_work, sizes",
+    [
+        (36, 2, 512, None, [118, 44]),
+        (36, 8, 512, None, [118, 44]),  # 394 592 of cost repays 2 processes
+        (50, 3, 512, None, [186, 65, 68]),
+        (8, 4, 512, None, [8]),  # 403 repays no fork
+        (36, 2, 90, None, [90, 72]),  # the chunk bound cuts batch 0
+        (100, 2, 512, None, [512, 389, 182, 176]),  # 1 259 fields: 2 batches each
+        (20, 3, 1, 1, [1] * 50),
+    ],
+)
+def test_census_batches(monkeypatch, height, workers, chunk, min_work, sizes):
+    """_census_batches puts every field in exactly one batch, in order of
+    first appearance (so batch 0 holds the first fields), 1 to CENSUS_CHUNK
+    of them each.  It runs on as many processes, up to `workers`, as give
+    each CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and makes
+    w * ceil(n / (w * CENSUS_CHUNK)) batches (at most n); where no batch
+    meets the chunk bound, each is within two fields' cost of an equal
+    share."""
+    monkeypatch.setattr(x16, "CENSUS_CHUNK", chunk)
+    if min_work is not None:
+        monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work)
+    discs = list(dict.fromkeys(p.disc for p in x16._census_points(census_parameters(height), height)))
+    w, batches = x16._census_batches(discs, workers)
+    assert [D for batch in batches for D in batch] == discs
+    assert [len(batch) for batch in batches] == sizes
+    cost = {D: isqrt(-D // 3) for D in discs}
+    total, n = sum(cost.values()), len(discs)
+    assert w == max(1, min(workers, n, total // x16.CENSUS_MIN_WORK))
+    assert len(batches) == min(n, w * -(-n // (w * chunk)))
+    if max(sizes) < chunk:
+        shares = [sum(cost[D] for D in batch) for batch in batches]
+        assert all(abs(share - total / len(batches)) <= 2 * max(cost.values()) for share in shares)
+    assert x16._census_batches(discs[:1], workers) == (1, [discs[:1]])
+    assert x16._census_batches([], workers) == (1, [])
+    monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
+    assert x16._census_batches(discs, workers)[0] == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_workers(monkeypatch):
+    """With workers > 1 the census forks at most workers - 1 children, at
+    most one per batch after the first, and only for fields whose cost
+    repays them (none where os.fork is missing); it gives the records of the
+    serial census, and leaves no child, whether it returns or raises.  An
+    exception in a child is raised in the parent with its type; a child that
+    ends without a result is a RuntimeError naming the batch.  The warning
+    that Python >= 3.12 gives at a fork with threads running is not raised."""
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    cases = ((20, 2, 1, 1), (20, 4, 1, 3), (4, 4, 1, 1), (3, 4, 1, 0), (20, 4, None, 0), (36, 4, None, 1))
+    for height, workers, min_work, children in cases:
+        monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work or 150_000)
+        serial, records = [], []
+        census(height, serial.append)
+        forks.clear()
+        census(height, records.append, workers)
+        _no_child_left()
+        assert len(forks) == children and records == serial, (height, workers)
+
+    with pytest.raises(ValueError):
+        census(20, workers=0)
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)  # as Python >= 3.12 with OpenBLAS threads
+    assert census(36, workers=2).records == 328
+    _no_child_left()
+
+    parent, real = os.getpid(), quadform.class_numbers
+
+    def failing(discs):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("in the child")
+        return real(discs)
+
+    monkeypatch.setattr(quadform, "class_numbers", failing)
+    with pytest.raises(ZeroDivisionError, match="in the child"):
+        census(36, workers=2)
+    _no_child_left()
+
+    def dying(discs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(discs)
+
+    monkeypatch.setattr(quadform, "class_numbers", dying)
+    with pytest.raises(RuntimeError, match="batch 1"):
+        census(36, workers=2)
+    _no_child_left()
+
+    monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    forks.clear()
+    assert census(36, workers=2).records == 328 and forks == []  # no batch met `dying` in a child
 
 
 def test_y16_membership_and_images():
