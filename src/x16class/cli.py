@@ -9,8 +9,9 @@ precision.  Identical configuration (including the RNG seed) produces
 byte-identical output files, whatever the worker count: census records
 stream to the output as they are made, in canonical parameter order, and
 name no worker count.  The census runs on at most worker_count processes, by
-default one per CPU this process may use (one where os.fork is missing; `env`
-prints that count), and on fewer when its fields are too few to repay a fork.
+default x16.census_processes(), the CPUs this process may use (one where
+os.fork is missing; `env` prints that count), and on fewer when its fields
+are too few to repay a fork.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from math import log
 from typing import Optional
 
 import numpy as np
 
 from . import __version__, arith, ecq, identities, quadform, x16
-from .arith import FactorBudget
+from .arith import DEFAULT_BUDGET, FactorBudget
 from .errors import BudgetExceeded, IncompleteFactorization, NotImaginary, UnknownClaim, X16Error
 
 CONFIG_ENV = "X16CLASS_CONFIG"
@@ -41,21 +43,12 @@ EXIT_USAGE = 3
 EXIT_PIPE = 141
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where affinity is not
-    reported)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @dataclass
 class Config:
-    trial_bound: int = 10000
-    rho_iterations: int = 500000
-    rng_seed: int = 1
-    worker_count: int = field(default_factory=_usable_cpus)
+    trial_bound: int = DEFAULT_BUDGET.trial_bound
+    rho_iterations: int = DEFAULT_BUDGET.rho_iterations
+    rng_seed: int = DEFAULT_BUDGET.rng_seed
+    worker_count: int = field(default_factory=x16.census_processes)
     format: str = "jsonl"
 
     def __post_init__(self):
@@ -152,9 +145,13 @@ def _cmd_factor(args, cfg: Config) -> int:
 
 
 def _cmd_classgroup(args, cfg: Config) -> int:
-    print(f"h({args.disc}) = {quadform.class_number(args.disc)}")
+    h = quadform.class_number(args.disc)
+    print(f"h({args.disc}) = {h}")
     if args.forms or args.structure:
         cg = quadform.class_group(args.disc)
+        if len(cg.reduced_forms) != h:  # the sieve and the enumerator disagree
+            print(f"MISMATCH: {len(cg.reduced_forms)} reduced forms listed", file=sys.stderr)
+            return EXIT_VIOLATION
         print(f"elementary divisors: {cg.elementary_divisors}")
         for f in cg.reduced_forms if args.forms else ():
             print(f"  {f}")
@@ -275,8 +272,6 @@ def _cmd_heuristic(args, cfg: Config) -> int:
 
 def _cmd_pi2(args, cfg: Config) -> int:
     count = ecq.pi2_count(args.n)
-    from math import log
-
     print(json.dumps({"n": _s(args.n), "count": _s(count), "ratio": count * log(args.n) / args.n}))
     return EXIT_OK
 

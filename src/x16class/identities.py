@@ -171,11 +171,9 @@ def _check_claim4() -> bool:
 
 def _check_f1_mod4() -> bool:
     """4 never divides m^2 - 2mn - n^2 for coprime m, n."""
-    from math import gcd
-
     for m in range(4):
         for n in range(4):
-            if gcd(gcd(m, n), 2) != 1:
+            if m % 2 == 0 and n % 2 == 0:
                 continue  # coprime m, n cannot both be even
             if (m * m - 2 * m * n - n * n) % 4 == 0:
                 return False

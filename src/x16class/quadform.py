@@ -12,18 +12,19 @@ square roots.  Each block's band sqrt(|disc|)/2 < a <= amax, where the roots
 themselves are needed, is counted right after the block is sieved: square
 roots mod the prime powers of each a, largest prime first, joined by CRT
 while a scan would be long, then a direct test of the candidates b.
-class_number is one class_numbers call.  The same primes decide that disc is
-fundamental, so class_numbers and class_group factor nothing; class_numbers
-refuses |disc| above CLASS_NUMBER_DISC_CAP, and class_group, which lists
-every reduced form, above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists
-the forms as the oracle.
+class_number is one class_numbers call and keeps nothing between calls.
+The same primes decide that disc is fundamental, so class_numbers and
+class_group factor nothing; class_numbers refuses |disc| above
+CLASS_NUMBER_DISC_CAP, and class_group, which lists every reduced form,
+above CLASS_GROUP_DISC_CAP.  enumerate_reduced lists the forms as the
+oracle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -331,7 +332,10 @@ def _smooth_tables(amax: int, small: list[int]) -> tuple[np.ndarray, np.ndarray,
     """rem[a], a with the small primes (p^2 <= amax) divided out, is 1 or one
     prime above sqrt(amax); lpf[a] is the largest small prime of a (0 when
     there is none) and lpe[a] its exponent in a.  None depends on the
-    discriminant."""
+    discriminant: class_numbers reads them up to its largest amax, and the
+    census (x16._census_points) factors the pieces of h16 with them up to
+    2H^2.  int16 lpf holds the small primes below 2^15, so amax < 2^30, a
+    census height up to 23 170, where these tables alone take ~7.5 GB."""
     rem = np.arange(amax + 1, dtype=np.int32)  # int32 holds every a
     lpf = np.zeros(amax + 1, dtype=np.int16)  # small primes are below 2^14 at the cap
     lpe = np.zeros(amax + 1, dtype=np.int8)
@@ -528,10 +532,9 @@ def class_numbers(discs) -> list[int]:
     return [hs[disc] for disc in discs]
 
 
-@lru_cache(maxsize=65536)
 def class_number(disc: int) -> int:
     """Class number h(disc) for a fundamental negative discriminant: one
-    class_numbers call (the exceptions are its)."""
+    class_numbers call (the exceptions are its), kept nowhere."""
     return class_numbers((disc,))[0]
 
 

@@ -5,8 +5,8 @@ non-cusp t = r/s in lowest terms with f16(t) < 0 gives a quadratic point
 over Q(sqrt(d)), where h16(r, s) = s^6 f16(r/s) = d m^2 with d squarefree;
 the census works with these integers.  point_from_t factors h16 with
 arith.factor; the census reads the pieces r, s, r^2+s^2 and r^2+2rs-s^2 of
-h16 off one smallest-prime-factor table instead and calls no arith.factor,
-so the factoring budget does not reach it.  The function
+h16 off quadform's factor tables (_smooth_tables) instead and calls no
+arith.factor, so the factoring budget does not reach it.  The function
 
     g(x, y) = (A(x) y + B(x)) / (x-1)^5,
     A = -6x^2-4x+2,  B = x^5+13x^4-2x^3+10x^2-7x+1,
@@ -41,8 +41,6 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, isqrt, prod
 from typing import BinaryIO, Callable, Optional
-
-import numpy as np
 
 from . import arith, quadform
 from .arith import FactorBudget, DEFAULT_BUDGET
@@ -216,14 +214,12 @@ class CensusRecord:
     div10: bool
 
 
-def divisibility_check(p: X16Point, h: Optional[int] = None) -> CensusRecord:
-    """Census record of a point built by point_from_t: h (class_number's,
-    unless the caller has it), the genus 2-rank from the carried
+def divisibility_check(p: X16Point, h: int) -> CensusRecord:
+    """Census record of a point built by point_from_t, with the class number
+    h of its field from the caller: the genus 2-rank from the carried
     factorisation of d, and the pullback order."""
     if p.cusp or p.d >= 0 or p.fd is None:
         raise ValueError("divisibility check needs an imaginary non-cusp point with d factored")
-    if h is None:
-        h = quadform.class_number(p.disc)
     tr = quadform.two_rank_from_factors(p.d, p.fd)
     five = cl5_pullback(p).order
     return CensusRecord(p.t, p.d, p.disc, h, tr, five, h % 10 == 0)
@@ -231,7 +227,6 @@ def divisibility_check(p: X16Point, h: Optional[int] = None) -> CensusRecord:
 
 @dataclass
 class CensusSummary:
-    height_bound: int
     records: int = 0
     exceptions: list = field(default_factory=list)  # t with d = -15
     violations: list = field(default_factory=list)  # t with d != -15, 10 !| h
@@ -253,22 +248,17 @@ def census_parameters(height_bound: int) -> list[Fraction]:
     return ts
 
 
-def _smallest_prime_factors(n: int) -> memoryview:
-    """The smallest prime factor of each 2 <= k <= n, read as spf[k] from one
-    int32 table (4n bytes)."""
-    spf = np.arange(n + 1, dtype=np.int32)
-    for p in reversed(quadform._primes_upto(isqrt(n)).tolist()):
-        spf[p * p :: p] = p
-    return memoryview(spf)
-
-
 def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     """The points of point_from_t at census parameters (h16 < 0) of height
     at most H = height_bound, with no arith.factor call: the pieces r, s,
-    r^2+s^2 and r^2+2rs-s^2 of h16(r, s), at most 2H^2 in absolute value, are
-    read off one smallest-prime-factor table up to 2H^2, freed on return, and
-    their exponents added (the pieces need not be coprime)."""
-    spf = _smallest_prime_factors(2 * height_bound * height_bound)
+    r^2+s^2 and r^2+2rs-s^2 of h16(r, s), at most n = 2H^2 in absolute value,
+    are factored by quadform's tables up to n (_smooth_tables, with the primes
+    up to sqrt(n) as its small ones; freed on return), and their exponents
+    added (the pieces need not be coprime): rem gives the one prime above
+    sqrt(n), if any, then lpf and lpe the largest small prime and its power,
+    until 1 is left."""
+    n = 2 * height_bound * height_bound
+    rem, lpf, lpe = map(memoryview, quadform._smooth_tables(n, quadform._primes_upto(isqrt(n)).tolist()))
     points = []
     for t in ts:
         r, s = t.numerator, t.denominator
@@ -276,11 +266,14 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
         if r * q >= 0:
             raise ValueError(f"census parameter {t} must have h16 < 0")
         exps: dict[int, int] = {}
-        for n in (abs(r), s, r * r + s * s, abs(q)):
-            while n > 1:
-                p = spf[n]
+        for k in (abs(r), s, r * r + s * s, abs(q)):
+            if (p := rem[k]) > 1:
                 exps[p] = exps.get(p, 0) + 1
-                n //= p
+                k //= p
+            while k > 1:
+                p, e = lpf[k], lpe[k]
+                exps[p] = exps.get(p, 0) + e
+                k //= p**e
         fd = sorted(p for p, e in exps.items() if e % 2)
         m = prod(p ** (e // 2) for p, e in exps.items())
         points.append(X16Point(t, -prod(fd), m, False, arith.FactoredInt(-1, tuple((p, 1) for p in fd))))
@@ -302,9 +295,18 @@ CENSUS_MIN_WORK = 150_000
 FORK = hasattr(os, "fork")
 
 
-def census_processes(workers: int) -> int:
-    """The most processes census(..., workers) runs on."""
-    return workers if FORK else 1
+def census_processes(workers: Optional[int] = None) -> int:
+    """The most processes census(..., workers) runs on; with no workers, the
+    CPUs this process may use (all of them where affinity is not reported),
+    the CLI's default worker_count.  1 where os.fork is missing."""
+    if not FORK:
+        return 1
+    if workers is not None:
+        return workers
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _census_batches(discs: list[int], workers: int) -> tuple[int, list[list[int]]]:
@@ -419,13 +421,13 @@ def census(
     compute the rest at the same time (_class_numbers_by_batch).  So each
     field is sieved once, and the records and their order do not depend on
     `workers`.  No child outlives the call.  A record over the cap becomes an
-    error row "Type: message": class_number's cap check raises BudgetExceeded
-    before it allocates.  A census discriminant is fundamental (d is
-    squarefree, D = d or 4d), so any exception from class_numbers is a bug
-    and propagates."""
+    error row "Type: message": the census asks quadform.class_number for its
+    h, whose cap check raises BudgetExceeded before it allocates.  A census
+    discriminant is fundamental (d is squarefree, D = d or 4d), so any
+    exception from class_numbers is a bug and propagates."""
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    summary = CensusSummary(height_bound)
+    summary = CensusSummary()
     points = _census_points(census_parameters(height_bound), height_bound)
     distinct = dict.fromkeys(p.disc for p in points)  # the first batch serves the first records
     hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
@@ -436,11 +438,13 @@ def census(
         for p in points:
             while p.disc not in hs:
                 hs.update(zip(*next(done)))
-            try:
-                rec = divisibility_check(p, hs[p.disc])
-            except BudgetExceeded as exc:
-                summary.errors.append((p.t, f"{type(exc).__name__}: {exc}"))
-                continue
+            if (h := hs[p.disc]) is None:  # over the cap, where class_number raises
+                try:
+                    h = quadform.class_number(p.disc)
+                except BudgetExceeded as exc:
+                    summary.errors.append((p.t, f"{type(exc).__name__}: {exc}"))
+                    continue
+            rec = divisibility_check(p, h)
             summary.records += 1
             if rec.d == -15:
                 summary.exceptions.append(p.t)
@@ -537,17 +541,12 @@ def verify_prop34_points() -> bool:
         return False
     # the finite x-images must hit the expected fields of the point table
     expected_fields = {
-        Fraction(1): 1,
-        Fraction(-1): 1,
-        Fraction(0): 1,
         Fraction(-3): -15,
         Fraction(1, 3): -15,
         Fraction(-242, 29): -2030,
         Fraction(29, 242): -2030,
     }
     for x, d in expected_fields.items():
-        if x in CUSPS:
-            continue
         if point_from_t(x).d != d:
             return False
     return True

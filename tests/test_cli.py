@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import x16class
-from x16class import cli, quadform, x16
+from x16class import arith, cli, quadform, x16
 from x16class.cli import Config, load_config, main
 
 
@@ -59,6 +59,13 @@ def test_config_from_file_and_env(tmp_path, monkeypatch):
     assert load_config().trial_bound == 10000
 
 
+def test_config_defaults_are_stated_once():
+    """Config's defaults are the factoring budget's and the census's own."""
+    cfg = Config()
+    assert cfg.budget() == arith.DEFAULT_BUDGET
+    assert cfg.worker_count == x16.census_processes()
+
+
 def test_factor_exit_codes(capsys, tmp_path):
     """Both output lines print the factorisation as FactoredInt does; the
     incomplete one names the cofactor C after the primes found."""
@@ -99,6 +106,16 @@ def test_classgroup(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert f"h({disc}) = " in captured.out
         assert "budget exceeded" in captured.err
+
+
+def test_classgroup_mismatch(capsys, monkeypatch):
+    """A sieved h that disagrees with the enumerated forms exits 1; the
+    enumerator does not use the sieve, so it still lists 40 forms."""
+    real = quadform.class_numbers
+    monkeypatch.setattr(quadform, "class_numbers", lambda discs: [h + 1 for h in real(discs)])
+    assert main(["classgroup", "--disc", "-8120", "--structure"]) == 1
+    captured = capsys.readouterr()
+    assert "h(-8120) = 41" in captured.out and "MISMATCH: 40 reduced forms" in captured.err
 
 
 def test_census_writes_jsonl(tmp_path, capsys):
@@ -145,7 +162,6 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
-    quadform.class_number.cache_clear()  # a cached h would bypass the cap
     outputs, children = [], []
     for workers in (1, 2, 3):
         cfgpath = tmp_path / f"cfg{workers}.json"

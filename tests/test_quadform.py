@@ -142,7 +142,7 @@ def test_class_number_factors_nothing(monkeypatch):
 
     for name in ("factor", "squarefree_part", "is_probable_prime"):
         monkeypatch.setattr(arith, name, refuse)
-    assert class_number.__wrapped__(-8120) == 40
+    assert class_number(-8120) == 40
     assert class_group(-4280).h == 36
 
 
@@ -170,6 +170,17 @@ def test_size_cap_raises_before_allocating(monkeypatch):
         class_number(-(cap + 16))  # 4d with d = 0 (mod 4)
     with pytest.raises(ValueError, match="not a negative discriminant"):
         class_numbers([-3, 5])
+
+
+def test_class_number_keeps_nothing(monkeypatch):
+    """class_number sieves on every call: a class number computed before the
+    cap is lowered is not returned after it."""
+    import pytest
+
+    assert class_number(-8120) == 40
+    monkeypatch.setattr(quadform, "CLASS_NUMBER_DISC_CAP", 2**10)
+    with pytest.raises(BudgetExceeded):
+        class_number(-8120)
 
 
 def test_kernel_matches_enumeration():
@@ -258,7 +269,7 @@ def test_class_numbers_tiny_and_mixed():
     big = -68719476731  # prime; h from the per-discriminant sieve before batching
     mixed = [-4, big, -3, -8120, -7, -8, -15, big]
     assert class_numbers(mixed) == [1, 98601, 1, 40, 1, 1, 2, 98601]
-    assert class_numbers(mixed) == [class_number.__wrapped__(disc) for disc in mixed]
+    assert class_numbers(mixed) == [class_number(disc) for disc in mixed]
 
 
 def test_class_numbers_census_h36_pinned():
@@ -287,7 +298,7 @@ def test_band_memory_per_a():
     assert amax == 597674
     tracemalloc.start()
     try:
-        h = class_number.__wrapped__(disc)
+        h = class_number(disc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

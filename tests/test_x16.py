@@ -148,7 +148,7 @@ def test_divisibility_check_t_minus_5(monkeypatch):
     factored = []
     real_factor = arith.factor
     monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
-    rec = divisibility_check(p)
+    rec = divisibility_check(p, quadform.class_number(p.disc))
     assert factored == []  # d is factored once, by point_from_t
     assert (rec.d, rec.disc, rec.h, rec.two_rank) == (-455, -455, 20, 2)
     assert rec.five_order == 5 and rec.div10
@@ -173,12 +173,14 @@ def test_census_parameters_order_and_content():
 
 
 def test_census_points_match_point_from_t():
-    """The census reads the pieces of h16 off its smallest-prime-factor table
-    and carries point_from_t's d, m and fd on every parameter of height
-    <= 60."""
-    ts = census_parameters(60)
-    assert len(ts) == 912
-    assert x16._census_points(ts, 60) == [point_from_t(t) for t in ts]
+    """The census reads the pieces of h16 off quadform's factor tables and
+    carries point_from_t's d, m and fd on every parameter of heights 60 and
+    100, with prime powers and primes above sqrt(2H^2) among the pieces'
+    factors."""
+    for height, count in ((60, 912), (100, 2522)):
+        ts = census_parameters(height)
+        assert len(ts) == count
+        assert x16._census_points(ts, height) == [point_from_t(t) for t in ts], height
 
 
 def test_census_factors_nothing(monkeypatch):
@@ -230,10 +232,8 @@ def test_census_over_cap_records_only_become_errors(monkeypatch):
     above it become BudgetExceeded rows: each asks class_number, whose
     one-field call raises at the cap check."""
     monkeypatch.setattr(quadform, "CLASS_NUMBER_DISC_CAP", 2**20)
-    quadform.class_number.cache_clear()  # a cached h would bypass the cap
     batches = _count_class_numbers(monkeypatch)
     summary = census(20)
-    quadform.class_number.cache_clear()
     first, *single = batches
     assert len(first) == 35 and max(-D for D in first) <= 2**20
     over = [p for p in x16._census_points(census_parameters(20), 20) if -p.disc > 2**20]
