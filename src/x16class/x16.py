@@ -13,7 +13,9 @@ arith.factor, so the factoring budget does not reach it.  The function
 
 has divisor 5(P1bar - omega(P1bar)) on the integral model, so the ideal
 (g(P)) is a fifth power and its fifth root is a 5-torsion ideal class.  The
-census runs this pipeline over all t of bounded height.
+census runs this pipeline over all t of bounded height; its class numbers
+come from quadform.class_numbers, with the fields cut into one contiguous
+share per process: this one computes share 0, forked children the rest.
 
 The census does not factor g(P).  Two polynomial facts pin the fifth root
 down: B^2 - A^2 f16 = (x-1)^10, and U A + V B = 64 for integer polynomials
@@ -280,7 +282,9 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     return points
 
 
-# the most fields one class_numbers call of the census is sent
+# the most fields one class_numbers call of the calling census process is
+# sent: it computes its share in batches of this size, each one when a
+# record first needs it
 CENSUS_CHUNK = 512
 
 # the least summed isqrt(|D| // 3) of the fields (class_numbers' sieve cost)
@@ -309,36 +313,28 @@ def census_processes(workers: Optional[int] = None) -> int:
         return os.cpu_count() or 1
 
 
-def _census_batches(discs: list[int], workers: int) -> tuple[int, list[list[int]]]:
-    """(w, batches): discs cut into contiguous batches, in order, batch k for
-    process k % w, process 0 being the calling one.  w is at most
-    census_processes(workers) and gives each process at least
-    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), what class_numbers' sieve
-    costs (w = 1 if the census is smaller).  There are
-    w * ceil(len(discs) / (w * CENSUS_CHUNK)) batches (at most one per
-    field) of about equal summed cost, each of 1 to CENSUS_CHUNK fields."""
+def _census_shares(discs: list[int], workers: int) -> list[list[int]]:
+    """discs cut into w contiguous shares, in order, share k for process k,
+    process 0 being the calling one.  w is at most census_processes(workers)
+    and len(discs), and gives each process at least CENSUS_MIN_WORK of the
+    summed isqrt(|D| // 3), what class_numbers' sieve costs (w = 1 if the
+    census is smaller).  The cuts fall at the cost quantiles k/w, each share
+    keeping at least one field."""
     n = len(discs)
-    if n == 0:
-        return 1, []
-    cost = list(accumulate(isqrt(-D // 3) for D in discs))
+    cost = list(accumulate(isqrt(-D // 3) for D in discs)) or [0]
     w = max(1, min(census_processes(workers), n, cost[-1] // CENSUS_MIN_WORK))
-    b = min(n, w * -(-n // (w * CENSUS_CHUNK)))
     cuts = [0]
-    for k in range(1, b):
-        # the b - k batches left hold 1 to CENSUS_CHUNK fields each
-        low = max(cuts[-1] + 1, n - (b - k) * CENSUS_CHUNK)
-        high = min(cuts[-1] + CENSUS_CHUNK, n - (b - k))
-        cuts.append(min(max(bisect_left(cost, cost[-1] * k / b), low), high))
+    for k in range(1, w):
+        cuts.append(bisect_left(cost, cost[-1] * k / w, cuts[-1] + 1, n - (w - k)))
     cuts.append(n)
-    return w, [discs[i:j] for i, j in zip(cuts, cuts[1:])]
+    return [discs[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-def _fork_worker(batches: list[list[int]]) -> tuple[int, BinaryIO]:
-    """A child process that sends (True, class_numbers(batch)) for each batch,
-    in order, pickled over a pipe, or (False, exception) for the first that
-    raises, and ends; returns its pid and the pipe's read end.  The child
-    leaves only through os._exit, so it never flushes the parent's buffered
-    output or runs its atexit handlers."""
+def _fork_worker(share: list[int]) -> tuple[int, BinaryIO]:
+    """A child process that sends (True, class_numbers(share)), pickled over
+    a pipe, or (False, exception) if it raises, and ends; returns its pid and
+    the pipe's read end.  The child leaves only through os._exit, so it never
+    flushes the parent's buffered output or runs its atexit handlers."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -357,46 +353,41 @@ def _fork_worker(batches: list[list[int]]) -> tuple[int, BinaryIO]:
     code = 1
     try:
         os.close(r)
+        try:
+            result = True, quadform.class_numbers(share)
+        except Exception as exc:
+            result = False, exc
         with open(w, "wb") as out:
-            for batch in batches:
-                try:
-                    ok, value = True, quadform.class_numbers(batch)
-                except Exception as exc:
-                    ok, value = False, exc
-                out.write(pickle.dumps((ok, value)))
-                out.flush()
-                if not ok:
-                    break
+            pickle.dump(result, out)
         code = 0
     finally:
         os._exit(code)
 
 
-def _class_numbers_by_batch(batches: list[list[int]], workers: int):
-    """quadform.class_numbers of each batch, yielded in batch order, with
-    workers <= len(batches).  Batch k is computed by worker k % workers:
-    worker 0 is this process, which
-    computes a batch when it is asked for; each other worker is a forked child
-    (_fork_worker) that computes its batches in order while this one works.
-    A child's exception is raised here; a child that ends without a result
-    raises RuntimeError.  Closing the generator, or its raising, kills and
-    reaps every child."""
+def _class_numbers_by_share(shares: list[list[int]]):
+    """(discs, quadform.class_numbers(discs)) for every field of the shares,
+    yielded in order.  Share 0 is computed by this process in batches of
+    CENSUS_CHUNK fields, each when it is asked for; each other share by a
+    forked child (_fork_worker) in one call while this one works.  A child's
+    exception is raised here; a child that ends without a result raises
+    RuntimeError.  Closing the generator, or its raising, kills and reaps
+    every child."""
     children = []
     try:
-        for w in range(1, workers):
-            children.append(_fork_worker(batches[w::workers]))
-        for k, batch in enumerate(batches):
-            if k % workers == 0:
-                yield quadform.class_numbers(batch)
-                continue
-            pid, pipe = children[k % workers - 1]
+        for share in shares[1:]:
+            children.append(_fork_worker(share))
+        own = shares[0]
+        for i in range(0, len(own), CENSUS_CHUNK):
+            batch = own[i : i + CENSUS_CHUNK]
+            yield batch, quadform.class_numbers(batch)
+        for k, (share, (pid, pipe)) in enumerate(zip(shares[1:], children), 1):
             try:
                 ok, value = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as exc:
-                raise RuntimeError(f"census worker {pid} ended without the class numbers of batch {k}") from exc
+                raise RuntimeError(f"census worker {pid} ended without the class numbers of share {k}") from exc
             if not ok:
                 raise value
-            yield value
+            yield share, value
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -414,11 +405,12 @@ def census(
 
     The points are built once, here.  The distinct discriminants up to
     quadform.CLASS_NUMBER_DISC_CAP, in order of first appearance, are cut
-    into batches (_census_batches), each sent to quadform.class_numbers once,
-    on w <= workers processes, as many as the fields' cost repays
-    (CENSUS_MIN_WORK each): this process computes batch 0 and every w-th
-    batch after it when a record first needs one, and w - 1 forked children
-    compute the rest at the same time (_class_numbers_by_batch).  So each
+    into contiguous shares of about equal cost (_census_shares), one for each
+    of w <= workers processes, as many as the fields' cost repays
+    (CENSUS_MIN_WORK each): this process computes share 0 in batches of
+    CENSUS_CHUNK fields, each when a record first needs it, and w - 1 forked
+    children compute the other shares at the same time, one
+    quadform.class_numbers call each (_class_numbers_by_share).  So each
     field is sieved once, and the records and their order do not depend on
     `workers`.  No child outlives the call.  A record over the cap becomes an
     error row "Type: message": the census asks quadform.class_number for its
@@ -429,15 +421,13 @@ def census(
         raise ValueError(f"workers must be positive, got {workers}")
     summary = CensusSummary()
     points = _census_points(census_parameters(height_bound), height_bound)
-    distinct = dict.fromkeys(p.disc for p in points)  # the first batch serves the first records
+    distinct = dict.fromkeys(p.disc for p in points)  # share 0 serves the first records
     hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
-    workers, batches = _census_batches([D for D in distinct if D not in hs], workers)
-    results = _class_numbers_by_batch(batches, workers)
+    results = _class_numbers_by_share(_census_shares([D for D in distinct if D not in hs], workers))
     try:
-        done = zip(batches, results)
         for p in points:
             while p.disc not in hs:
-                hs.update(zip(*next(done)))
+                hs.update(zip(*next(results)))
             if (h := hs[p.disc]) is None:  # over the cap, where class_number raises
                 try:
                     h = quadform.class_number(p.disc)
@@ -555,11 +545,7 @@ def verify_prop34_points() -> bool:
 COROLLARY15_FIELDS = (-7161, -6711, -6503, -6095, -6005, -4847, -3503, -3199)
 
 
-def corollary15_check(hs: Optional[dict[int, int]] = None) -> bool:
+def corollary15_check(hs: dict[int, int]) -> bool:
     """5 does not divide h for the eight listed field constants; hs maps
-    discriminants to class numbers when the caller has them already, else
-    they come from one class_numbers call."""
-    discs = [arith.fundamental_discriminant(d) for d in COROLLARY15_FIELDS]
-    if hs is None:
-        hs = dict(zip(discs, quadform.class_numbers(discs)))
-    return all(hs[disc] % 5 for disc in discs)
+    their discriminants to class numbers."""
+    return all(hs[arith.fundamental_discriminant(d)] % 5 for d in COROLLARY15_FIELDS)

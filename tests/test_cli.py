@@ -151,11 +151,11 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     included: a failing record is recorded, it does not abort the census.
     config lowers quadform's size cap, so that the 30 records of height
     <= 20 whose |disc| exceeds 2^20 fail.  The cap is checked in the parent,
-    before any fork.  With batches of at most 4 fields, and any cost enough
-    for a fork, the 35 fields below the cap at height 20 make 10 or 9
-    batches dealt round-robin, the 8 fields of height 8 one batch per
-    worker; either way each worker beyond the first is one forked child, and
-    none is left after the census."""
+    before any fork.  With any cost enough for a fork, the 35 fields below
+    the cap at height 20, and the 8 of height 8, are cut into one contiguous
+    share per worker; the first worker computes its share in batches of at
+    most 4 fields, each worker beyond it is one forked child, and none is
+    left after the census."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
     monkeypatch.setattr(x16, "CENSUS_CHUNK", 4)

@@ -261,37 +261,33 @@ def test_census_streams_records(monkeypatch):
         (36, 8, 512, None, [118, 44]),  # 394 592 of cost repays 2 processes
         (50, 3, 512, None, [186, 65, 68]),
         (8, 4, 512, None, [8]),  # 403 repays no fork
-        (36, 2, 90, None, [90, 72]),  # the chunk bound cuts batch 0
-        (100, 2, 512, None, [512, 389, 182, 176]),  # 1 259 fields: 2 batches each
-        (20, 3, 1, 1, [1] * 50),
+        (36, 2, 90, None, [118, 44]),  # CENSUS_CHUNK does not cut a share
+        (100, 2, 512, None, [901, 358]),
+        (20, 3, 1, 1, [29, 12, 9]),
     ],
 )
-def test_census_batches(monkeypatch, height, workers, chunk, min_work, sizes):
-    """_census_batches puts every field in exactly one batch, in order of
-    first appearance (so batch 0 holds the first fields), 1 to CENSUS_CHUNK
-    of them each.  It runs on as many processes, up to `workers`, as give
-    each CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and makes
-    w * ceil(n / (w * CENSUS_CHUNK)) batches (at most n); where no batch
-    meets the chunk bound, each is within two fields' cost of an equal
-    share."""
+def test_census_shares(monkeypatch, height, workers, chunk, min_work, sizes):
+    """_census_shares puts every field in exactly one share, in order of
+    first appearance (so share 0 holds the first fields), at least one each.
+    There is one share per process, up to `workers`, as many as give each
+    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and each is within two
+    fields' cost of an equal share."""
     monkeypatch.setattr(x16, "CENSUS_CHUNK", chunk)
     if min_work is not None:
         monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work)
     discs = list(dict.fromkeys(p.disc for p in x16._census_points(census_parameters(height), height)))
-    w, batches = x16._census_batches(discs, workers)
-    assert [D for batch in batches for D in batch] == discs
-    assert [len(batch) for batch in batches] == sizes
+    shares = x16._census_shares(discs, workers)
+    assert [D for share in shares for D in share] == discs
+    assert [len(share) for share in shares] == sizes
     cost = {D: isqrt(-D // 3) for D in discs}
     total, n = sum(cost.values()), len(discs)
-    assert w == max(1, min(workers, n, total // x16.CENSUS_MIN_WORK))
-    assert len(batches) == min(n, w * -(-n // (w * chunk)))
-    if max(sizes) < chunk:
-        shares = [sum(cost[D] for D in batch) for batch in batches]
-        assert all(abs(share - total / len(batches)) <= 2 * max(cost.values()) for share in shares)
-    assert x16._census_batches(discs[:1], workers) == (1, [discs[:1]])
-    assert x16._census_batches([], workers) == (1, [])
+    assert len(shares) == max(1, min(workers, n, total // x16.CENSUS_MIN_WORK))
+    for share in shares:
+        assert abs(sum(cost[D] for D in share) - total / len(shares)) <= 2 * max(cost.values())
+    assert x16._census_shares(discs[:1], workers) == [discs[:1]]
+    assert x16._census_shares([], workers) == [[]]
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
-    assert x16._census_batches(discs, workers)[0] == 1
+    assert x16._census_shares(discs, workers) == [discs]
 
 
 def _no_child_left():
@@ -300,12 +296,12 @@ def _no_child_left():
 
 
 def test_census_workers(monkeypatch):
-    """With workers > 1 the census forks at most workers - 1 children, at
-    most one per batch after the first, and only for fields whose cost
-    repays them (none where os.fork is missing); it gives the records of the
-    serial census, and leaves no child, whether it returns or raises.  An
-    exception in a child is raised in the parent with its type; a child that
-    ends without a result is a RuntimeError naming the batch.  The warning
+    """With workers > 1 the census forks at most workers - 1 children, one
+    per share after the first, and only for fields whose cost repays them
+    (none where os.fork is missing); it gives the records of the serial
+    census, and leaves no child, whether it returns or raises.  An exception
+    in a child is raised in the parent with its type; a child that ends
+    without a result is a RuntimeError naming its share.  The warning
     that Python >= 3.12 gives at a fork with threads running is not raised."""
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
@@ -350,14 +346,47 @@ def test_census_workers(monkeypatch):
         return real(discs)
 
     monkeypatch.setattr(quadform, "class_numbers", dying)
-    with pytest.raises(RuntimeError, match="batch 1"):
+    with pytest.raises(RuntimeError, match="share 1"):
         census(36, workers=2)
     _no_child_left()
 
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     forks.clear()
-    assert census(36, workers=2).records == 328 and forks == []  # no batch met `dying` in a child
+    assert census(36, workers=2).records == 328 and forks == []  # no share met `dying` in a child
+
+
+def test_census_call_pattern(tmp_path, monkeypatch):
+    """At height 100 on 2 processes, this one computes share 0 (901 fields)
+    in batches of CENSUS_CHUNK, 512 then 389, and one child computes share 1
+    (358 fields) in one class_numbers call.  Each call appends "pid n" to a
+    file, the one way a child can report it (h stubbed to 0)."""
+    log = tmp_path / "calls"
+
+    def logged(discs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {len(discs)}\n")
+        return [0] * len(discs)
+
+    monkeypatch.setattr(quadform, "class_numbers", logged)
+    census(100, workers=2)
+    _no_child_left()
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert [n for pid, n in calls if pid == os.getpid()] == [512, 389]
+    assert [n for pid, n in calls if pid != os.getpid()] == [358]
+
+
+def test_census_child_result_beyond_pipe_buffer(monkeypatch):
+    """A child's one pickle may exceed the pipe's buffer: with every h
+    stubbed to 10^1000, share 1 at height 100 (358 fields) pickles to about
+    150 kB, and the child blocks on its write until this process reads it.
+    The census completes with those class numbers and leaves no child."""
+    monkeypatch.setattr(quadform, "class_numbers", lambda discs: [10**1000] * len(discs))
+    records = []
+    summary = census(100, records.append, workers=2)
+    _no_child_left()
+    assert summary.records == len(records) == len(census_parameters(100))
+    assert all(rec.h == 10**1000 for rec in records)
 
 
 def test_y16_membership_and_images():
@@ -375,7 +404,8 @@ def test_y16_membership_and_images():
 
 def test_prop34_and_corollary15():
     assert verify_prop34_points()
-    assert corollary15_check()
+    discs = [arith.fundamental_discriminant(d) for d in x16.COROLLARY15_FIELDS]
+    assert corollary15_check(dict(zip(discs, quadform.class_numbers(discs))))
 
 
 def test_x_images_at_infinity_are_derived(monkeypatch):
