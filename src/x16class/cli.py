@@ -6,12 +6,12 @@ unknown claim id, a parameter whose field is not imaginary), 141 the reader
 closed standard output early (128 + SIGPIPE, as for ``yes | head``).  All big
 integers are serialized as decimal strings so JSON consumers never lose
 precision.  Identical configuration (including the RNG seed) produces
-byte-identical output files, whatever the worker count: census records
-stream to the output as they are made, in canonical parameter order, and
-name no worker count.  The census runs on at most worker_count processes, by
-default x16.census_processes(), the CPUs this process may use (one where
-os.fork is missing; `env` prints that count), and on fewer when its fields
-are too few to repay a fork.
+byte-identical output files, whatever the process count: census records
+stream to the output as they are made, in canonical order, and name no
+process count.  The census runs on x16.census_processes() processes, the
+CPUs this process may use (`env` prints that count; `taskset -c 0` makes it
+one), or on fewer where its fields do not repay a fork.  An output file
+that cannot be opened is a usage error, found before any work starts.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import log
@@ -48,17 +48,14 @@ class Config:
     trial_bound: int = DEFAULT_BUDGET.trial_bound
     rho_iterations: int = DEFAULT_BUDGET.rho_iterations
     rng_seed: int = DEFAULT_BUDGET.rng_seed
-    worker_count: int = field(default_factory=x16.census_processes)
     format: str = "jsonl"
 
     def __post_init__(self):
-        counts = ("trial_bound", "rho_iterations", "worker_count")
-        for name in (*counts, "rng_seed"):
+        for name in ("trial_bound", "rho_iterations", "rng_seed"):
             if type(getattr(self, name)) is not int:  # a JSON float or bool is not a count
                 raise ValueError(f"{name} must be an integer")
-        for name in counts:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if min(self.trial_bound, self.rho_iterations) <= 0:
+            raise ValueError("trial_bound and rho_iterations must be positive")
         if self.format not in ("jsonl", "csv"):
             raise ValueError("format must be jsonl or csv")
 
@@ -89,7 +86,10 @@ class _Writer:
 
     def __init__(self, path: Optional[str], fmt: str):
         self.fmt = fmt
-        self.out = open(path, "w") if path else sys.stdout
+        try:
+            self.out = open(path, "w") if path else sys.stdout
+        except OSError as exc:  # a usage error, unlike a failed os.fork
+            raise ValueError(f"cannot open {path}: {exc.strerror}") from exc
         self.csv: Optional[csv.DictWriter] = None
 
     def __enter__(self) -> "_Writer":
@@ -152,7 +152,8 @@ def _cmd_classgroup(args, cfg: Config) -> int:
         if len(cg.reduced_forms) != h:  # the sieve and the enumerator disagree
             print(f"MISMATCH: {len(cg.reduced_forms)} reduced forms listed", file=sys.stderr)
             return EXIT_VIOLATION
-        print(f"elementary divisors: {cg.elementary_divisors}")
+        if args.structure:
+            print(f"elementary divisors: {cg.elementary_divisors}")
         for f in cg.reduced_forms if args.forms else ():
             print(f"  {f}")
     return EXIT_OK
@@ -174,11 +175,7 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
 def _cmd_census(args, cfg: Config) -> int:
     height, path = args.height, args.jsonl
     with _Writer(path, cfg.format) as writer:
-        summary = x16.census(
-            height,
-            lambda rec: writer.write(_record_to_row(rec)),
-            cfg.worker_count,
-        )
+        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)), x16.census_processes())
         writer.write(
             {
                 "summary": True,
@@ -250,8 +247,8 @@ def _cmd_verify_lemmas(args, cfg: Config) -> int:
 
 
 def _cmd_heuristic(args, cfg: Config) -> int:
-    records = ecq.heuristic_search(args.mmax, cfg.budget())
     with _Writer(args.jsonl, cfg.format) as writer:
+        records = ecq.heuristic_search(args.mmax, cfg.budget())
         for r in records:
             writer.write(
                 {
@@ -277,19 +274,16 @@ def _cmd_pi2(args, cfg: Config) -> int:
 
 
 def _cmd_env(args, cfg: Config) -> int:
-    print(
-        json.dumps(
-            {
-                "x16class": __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "cpu_count": os.cpu_count(),
-                "workers": x16.census_processes(cfg.worker_count),
-                "fork": x16.FORK,
-                "platform": platform.platform(),
-            }
-        )
-    )
+    env = {
+        "x16class": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": x16.census_processes(),
+        "fork": hasattr(os, "fork"),
+        "platform": platform.platform(),
+    }
+    print(json.dumps(env))
     return EXIT_OK
 
 
@@ -322,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("pullback", help="order-5 ideal class pullback at a parameter t")
-    p.add_argument("--t", type=_parse_rational, required=True)
+    p.add_argument("--t", type=_parse_rational, required=True, help="the parameter, such as -5 or -242/29")
     p.set_defaults(handler=_cmd_pullback)
 
     p = sub.add_parser("verify-claims", help="run the algebraic claim registry")
@@ -355,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes -242/29, unlike -5, for an option
+        if argv[i - 1] == "--t" and argv[i].startswith("-"):
+            argv[i - 1 : i + 1] = [f"--t={argv[i]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -299,14 +299,12 @@ CENSUS_MIN_WORK = 150_000
 FORK = hasattr(os, "fork")
 
 
-def census_processes(workers: Optional[int] = None) -> int:
-    """The most processes census(..., workers) runs on; with no workers, the
-    CPUs this process may use (all of them where affinity is not reported),
-    the CLI's default worker_count.  1 where os.fork is missing."""
+def census_processes() -> int:
+    """The most processes a census runs on: the CPUs this process may use
+    (all of them where the OS reports no affinity), 1 where os.fork is
+    missing."""
     if not FORK:
         return 1
-    if workers is not None:
-        return workers
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -315,14 +313,14 @@ def census_processes(workers: Optional[int] = None) -> int:
 
 def _census_shares(discs: list[int], workers: int) -> list[list[int]]:
     """discs cut into w contiguous shares, in order, share k for process k,
-    process 0 being the calling one.  w is at most census_processes(workers)
-    and len(discs), and gives each process at least CENSUS_MIN_WORK of the
-    summed isqrt(|D| // 3), what class_numbers' sieve costs (w = 1 if the
-    census is smaller).  The cuts fall at the cost quantiles k/w, each share
-    keeping at least one field."""
+    process 0 being the calling one.  w is at most workers,
+    census_processes() and len(discs), and gives each process at least
+    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), what class_numbers' sieve
+    costs (w = 1 if the census is smaller).  The cuts fall at the cost
+    quantiles k/w, each share keeping at least one field."""
     n = len(discs)
     cost = list(accumulate(isqrt(-D // 3) for D in discs)) or [0]
-    w = max(1, min(census_processes(workers), n, cost[-1] // CENSUS_MIN_WORK))
+    w = max(1, min(workers, census_processes(), n, cost[-1] // CENSUS_MIN_WORK))
     cuts = [0]
     for k in range(1, w):
         cuts.append(bisect_left(cost, cost[-1] * k / w, cuts[-1] + 1, n - (w - k)))
@@ -406,17 +404,19 @@ def census(
     The points are built once, here.  The distinct discriminants up to
     quadform.CLASS_NUMBER_DISC_CAP, in order of first appearance, are cut
     into contiguous shares of about equal cost (_census_shares), one for each
-    of w <= workers processes, as many as the fields' cost repays
-    (CENSUS_MIN_WORK each): this process computes share 0 in batches of
-    CENSUS_CHUNK fields, each when a record first needs it, and w - 1 forked
-    children compute the other shares at the same time, one
-    quadform.class_numbers call each (_class_numbers_by_share).  So each
-    field is sieved once, and the records and their order do not depend on
-    `workers`.  No child outlives the call.  A record over the cap becomes an
-    error row "Type: message": the census asks quadform.class_number for its
-    h, whose cap check raises BudgetExceeded before it allocates.  A census
-    discriminant is fundamental (d is squarefree, D = d or 4d), so any
-    exception from class_numbers is a bug and propagates."""
+    of w processes, w at most `workers` and census_processes(), as many as
+    the fields' cost repays (CENSUS_MIN_WORK each): this process computes
+    share 0 in batches of CENSUS_CHUNK fields, each when a record first
+    needs it, and w - 1 forked children the other shares at the same time,
+    one quadform.class_numbers call each (_class_numbers_by_share).  So each
+    field is sieved once, and the records do not depend on w.  The default
+    forks nothing, as forking a threaded caller is not safe; the CLI passes
+    census_processes().  No child outlives the call.  A record over the cap
+    becomes an error row "Type: message": the census asks
+    quadform.class_number for its h, whose cap check raises BudgetExceeded
+    before it allocates.  A census discriminant is fundamental (d is
+    squarefree, D = d or 4d), so any exception from class_numbers is a bug
+    and propagates."""
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     summary = CensusSummary()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import x16class
-from x16class import arith, cli, quadform, x16
+from x16class import arith, cli, ecq, quadform, x16
 from x16class.cli import Config, load_config, main
 
 
@@ -22,9 +22,9 @@ def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         Config(format="xml")
     for bad in (
-        {"worker_count": 1.5},
+        {"trial_bound": 1.5},
         {"rho_iterations": 2.5},
-        {"worker_count": True},
+        {"rho_iterations": True},
         {"trial_bound": "100"},
         {"rng_seed": 1.0},
         {"rng_seed": False},
@@ -40,9 +40,10 @@ def test_config_validation(tmp_path, capsys):
     path.write_text(json.dumps({"prime_rounds": 40}))
     assert main(["--config", str(path), "factor", "12"]) == 3
     assert "bad configuration" in capsys.readouterr().err
-    # the census height and the output path are flags only
+    # the census height and the output path are flags only, and the census's
+    # process count is the CPUs it may use
     assert cli.build_parser().parse_args(["census"]).height == 50
-    for key, value in (("height_bound", 7), ("output_path", "out.jsonl")):
+    for key, value in (("height_bound", 7), ("output_path", "out.jsonl"), ("worker_count", 2)):
         path.write_text(json.dumps({key: value}))
         assert main(["--config", str(path), "factor", "12"]) == 3
         assert "bad configuration" in capsys.readouterr().err
@@ -50,9 +51,9 @@ def test_config_validation(tmp_path, capsys):
 
 def test_config_from_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"trial_bound": 500, "worker_count": 2}))
+    path.write_text(json.dumps({"trial_bound": 500, "format": "csv"}))
     cfg = load_config(str(path))
-    assert cfg.trial_bound == 500 and cfg.worker_count == 2
+    assert cfg.trial_bound == 500 and cfg.format == "csv"
     monkeypatch.setenv(cli.CONFIG_ENV, str(path))
     assert load_config().trial_bound == 500
     monkeypatch.delenv(cli.CONFIG_ENV)
@@ -60,10 +61,8 @@ def test_config_from_file_and_env(tmp_path, monkeypatch):
 
 
 def test_config_defaults_are_stated_once():
-    """Config's defaults are the factoring budget's and the census's own."""
-    cfg = Config()
-    assert cfg.budget() == arith.DEFAULT_BUDGET
-    assert cfg.worker_count == x16.census_processes()
+    """Config's defaults are the factoring budget's."""
+    assert Config().budget() == arith.DEFAULT_BUDGET
 
 
 def test_factor_exit_codes(capsys, tmp_path):
@@ -108,6 +107,21 @@ def test_classgroup(capsys, monkeypatch):
         assert "budget exceeded" in captured.err
 
 
+def test_classgroup_forms(capsys, monkeypatch):
+    """--forms lists the reduced forms and computes no structure; with
+    --structure too, both are printed."""
+    forms = ["  (1, 0, 21)", "  (2, 2, 11)", "  (3, 0, 7)", "  (5, 4, 5)"]
+    assert main(["classgroup", "--disc", "-84", "--forms", "--structure"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["h(-84) = 4", "elementary divisors: [2, 2]", *forms]
+
+    def refuse(cg):
+        raise AssertionError("--forms computed the group structure")
+
+    monkeypatch.setattr(quadform, "group_structure", refuse)
+    assert main(["classgroup", "--disc", "-84", "--forms"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["h(-84) = 4", *forms]
+
+
 def test_classgroup_mismatch(capsys, monkeypatch):
     """A sieved h that disagrees with the enumerated forms exits 1; the
     enumerator does not use the sieve, so it still lists 40 forms."""
@@ -147,14 +161,14 @@ def _no_child_left():
     [({"CLASS_NUMBER_DISC_CAP": 2**20}, 20, 2), ({}, 8, 0)],
 )
 def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, height, code):
-    """worker_count 2 and 3 write the same bytes as worker_count 1, error rows
+    """On 2 and 3 CPUs the census writes the same bytes as on 1, error rows
     included: a failing record is recorded, it does not abort the census.
     config lowers quadform's size cap, so that the 30 records of height
     <= 20 whose |disc| exceeds 2^20 fail.  The cap is checked in the parent,
     before any fork.  With any cost enough for a fork, the 35 fields below
     the cap at height 20, and the 8 of height 8, are cut into one contiguous
-    share per worker; the first worker computes its share in batches of at
-    most 4 fields, each worker beyond it is one forked child, and none is
+    share per CPU; this process computes the first share in batches of at
+    most 4 fields, each share beyond it is one forked child, and none is
     left after the census."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
@@ -163,11 +177,10 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     outputs, children = [], []
-    for workers in (1, 2, 3):
-        cfgpath = tmp_path / f"cfg{workers}.json"
-        cfgpath.write_text(json.dumps({"worker_count": workers}))
-        out = tmp_path / f"census{workers}.jsonl"
-        argv = ["--config", str(cfgpath), "census", "--height", str(height), "--jsonl", str(out)]
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(x16, "census_processes", lambda: cpus)
+        out = tmp_path / f"census{cpus}.jsonl"
+        argv = ["census", "--height", str(height), "--jsonl", str(out)]
         forks.clear()
         assert main(argv) == code
         _no_child_left()
@@ -179,13 +192,13 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     assert all(msg.startswith("BudgetExceeded: ") for _, msg in summary["errors"])
 
 
-@pytest.mark.parametrize(
-    "height, sha256",
-    [
-        (36, "a20f2c4dfb548c1253745250b95d90637e54ffd85ce3e6c44d18acc8422de2f4"),
-        (50, "165b701784c1ae4eed7432df14ace5111a17880e7b2eaf774515704a76da3d1b"),
-    ],
-)
+CENSUS_SHA256 = {
+    36: "a20f2c4dfb548c1253745250b95d90637e54ffd85ce3e6c44d18acc8422de2f4",
+    50: "165b701784c1ae4eed7432df14ace5111a17880e7b2eaf774515704a76da3d1b",
+}
+
+
+@pytest.mark.parametrize("height, sha256", CENSUS_SHA256.items())
 def test_census_jsonl_pinned(tmp_path, capsys, height, sha256):
     """The census output under the default configuration, byte for byte."""
     out = tmp_path / "census.jsonl"
@@ -223,6 +236,12 @@ def test_pullback(capsys):
     assert "order = 1" in capsys.readouterr().out
     assert main(["pullback", "--t", "2"]) == 3  # d = 70: not an imaginary field
     assert "NotImaginary" in capsys.readouterr().err
+    # a negative fraction is the value of --t, as a negative integer is
+    for t, order in (("-242/29", 1), ("29/242", 1), ("-5", 5)):
+        for argv in (["--t", t], [f"--t={t}"]):
+            assert main(["pullback", *argv]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"t = {t}: ") and out.endswith(f"order = {order}\n")
 
 
 def test_verify_claims(capsys):
@@ -283,6 +302,22 @@ def test_heuristic(tmp_path):
     assert main(["heuristic", "--mmax", "-1"]) == 3
 
 
+@pytest.mark.parametrize("command", [["census", "--height", "36"], ["heuristic", "--mmax", "30"]])
+def test_unwritable_output(tmp_path, capsys, monkeypatch, command):
+    """An output file that cannot be opened is a usage error: one stderr line
+    naming it, before the census or the search starts."""
+
+    def refuse(*args):
+        raise AssertionError("the work started before the output was opened")
+
+    monkeypatch.setattr(x16, "census", refuse)
+    monkeypatch.setattr(ecq, "heuristic_search", refuse)
+    path = tmp_path / "missing" / "out.jsonl"
+    assert main([*command, "--jsonl", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: cannot open {path}: No such file or directory\n"
+
+
 def test_pi2(capsys):
     assert main(["pi2", "--n", "20"]) == 0
     rec = json.loads(capsys.readouterr().out)
@@ -308,13 +343,12 @@ def test_env(capsys, monkeypatch):
     assert list(rec) == ["x16class", "python", "numpy", "cpu_count", "workers", "fork", "platform"]
     assert rec["x16class"] == x16class.__version__
     assert rec["cpu_count"] == os.cpu_count()
-    # the census's default worker count: one per CPU this process may use
+    # the census's process count: one per CPU this process may use
     assert rec["fork"] is hasattr(os, "fork")
-    assert rec["workers"] == (len(os.sched_getaffinity(0)) if rec["fork"] else 1)
+    assert rec["workers"] == x16.census_processes()
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     assert main(["env"]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["workers"] == 1 and rec["fork"] is False
+    assert json.loads(capsys.readouterr().out)["workers"] == 1
 
 
 def test_python_dash_m(tmp_path):
@@ -333,12 +367,43 @@ def test_python_dash_m(tmp_path):
     assert run("no-such-command").returncode == 3
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_cli_on_one_cpu(tmp_path):
+    """Started on one CPU (as by `taskset -c 0`), the CLI reports one census
+    process and writes the pinned census without a fork: the child process
+    runs main with os.fork replaced by a function that raises."""
+    env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
+    cpu = min(os.sched_getaffinity(0))
+    no_fork = (
+        "import os, sys\n"
+        "def refuse(): raise AssertionError('the census forked')\n"
+        "os.fork = refuse\n"
+        "from x16class.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", no_fork, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        )
+
+    done = run("env")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["workers"] == 1
+    out = tmp_path / "census.jsonl"
+    done = run("census", "--height", "36", "--jsonl", str(out))
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_SHA256[36]
+
+
 def test_census_into_closed_pipe(tmp_path, monkeypatch):
     """A reader that stops after one line (``| head -1``) ends the census
     with exit 141 and no traceback, not with exit 1, which means a violation.
-    The census runs with the default worker count, forked when there are
-    several CPUs; in process, with 2 workers and the pipe's reader closed at
-    once, the write that fails kills and reaps the child."""
+    The census runs on the CPUs it may use, forked when there are several;
+    in process, on 2 CPUs and with the pipe's reader closed at once, the
+    write that fails kills and reaps the child."""
     env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
     with subprocess.Popen(
         [sys.executable, "-m", "x16class", "census", "--height", "36"],
@@ -355,7 +420,6 @@ def test_census_into_closed_pipe(tmp_path, monkeypatch):
     os.close(r)
     with open(w, "w") as pipe:
         monkeypatch.setattr(sys, "stdout", pipe)
-        cfgpath = tmp_path / "cfg.json"
-        cfgpath.write_text(json.dumps({"worker_count": 2}))
-        assert main(["--config", str(cfgpath), "census", "--height", "36"]) == 141
+        monkeypatch.setattr(x16, "census_processes", lambda: 2)
+        assert main(["census", "--height", "36"]) == 141
     _no_child_left()

@@ -254,6 +254,21 @@ def test_census_streams_records(monkeypatch):
     assert [rec.t for rec in records] == census_parameters(20)
 
 
+def test_census_processes(monkeypatch):
+    """The CPUs this process may use; os.cpu_count() where the OS reports no
+    affinity (macOS), 1 if that is unknown too or os.fork is missing."""
+    if hasattr(os, "sched_getaffinity"):
+        assert x16.census_processes() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert x16.census_processes() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert x16.census_processes() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
+    assert x16.census_processes() == 1
+
+
 @pytest.mark.parametrize(
     "height, workers, chunk, min_work, sizes",
     [
@@ -269,9 +284,10 @@ def test_census_streams_records(monkeypatch):
 def test_census_shares(monkeypatch, height, workers, chunk, min_work, sizes):
     """_census_shares puts every field in exactly one share, in order of
     first appearance (so share 0 holds the first fields), at least one each.
-    There is one share per process, up to `workers`, as many as give each
-    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and each is within two
-    fields' cost of an equal share."""
+    There is one share per process, up to `workers` and the CPUs (8 here),
+    as many as give each CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and
+    each is within two fields' cost of an equal share."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 8)
     monkeypatch.setattr(x16, "CENSUS_CHUNK", chunk)
     if min_work is not None:
         monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work)
@@ -286,7 +302,9 @@ def test_census_shares(monkeypatch, height, workers, chunk, min_work, sizes):
         assert abs(sum(cost[D] for D in share) - total / len(shares)) <= 2 * max(cost.values())
     assert x16._census_shares(discs[:1], workers) == [discs[:1]]
     assert x16._census_shares([], workers) == [[]]
-    monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
+    monkeypatch.setattr(x16, "census_processes", lambda: 2)
+    assert len(x16._census_shares(discs, workers)) == min(len(sizes), 2)
+    monkeypatch.setattr(x16, "census_processes", lambda: 1)  # one CPU, or no os.fork
     assert x16._census_shares(discs, workers) == [discs]
 
 
@@ -296,13 +314,16 @@ def _no_child_left():
 
 
 def test_census_workers(monkeypatch):
-    """With workers > 1 the census forks at most workers - 1 children, one
-    per share after the first, and only for fields whose cost repays them
-    (none where os.fork is missing); it gives the records of the serial
-    census, and leaves no child, whether it returns or raises.  An exception
-    in a child is raised in the parent with its type; a child that ends
-    without a result is a RuntimeError naming its share.  The warning
-    that Python >= 3.12 gives at a fork with threads running is not raised."""
+    """With workers > 1 the census forks at most workers - 1 children (on 4
+    CPUs here), one per share after the first, and only for fields whose
+    cost repays them (none where os.fork is missing); it gives the records
+    of the serial census, and leaves no child, whether it returns or raises.
+    An exception in a child is raised in the parent with its type; a child
+    that ends without a result is a RuntimeError naming its share.  The
+    warning that Python >= 3.12 gives at a fork with threads running is not
+    raised."""
+    real_processes = x16.census_processes
+    monkeypatch.setattr(x16, "census_processes", lambda: 4)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     cases = ((20, 2, 1, 1), (20, 4, 1, 3), (4, 4, 1, 1), (3, 4, 1, 0), (20, 4, None, 0), (36, 4, None, 1))
@@ -350,10 +371,27 @@ def test_census_workers(monkeypatch):
         census(36, workers=2)
     _no_child_left()
 
+    monkeypatch.setattr(x16, "census_processes", real_processes)
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     forks.clear()
     assert census(36, workers=2).records == 328 and forks == []  # no share met `dying` in a child
+
+
+def test_census_forks_at_most_the_cpus(monkeypatch):
+    """census(..., workers=8) forks at most census_processes() - 1 children,
+    even where every field's cost would repay a fork."""
+    monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    assert census(20, workers=8).records == 104
+    _no_child_left()
+    assert len(forks) == min(8, x16.census_processes()) - 1
+    monkeypatch.setattr(x16, "census_processes", lambda: 3)
+    forks.clear()
+    assert census(20, workers=8).records == 104
+    _no_child_left()
+    assert len(forks) == 2
 
 
 def test_census_call_pattern(tmp_path, monkeypatch):
@@ -361,6 +399,7 @@ def test_census_call_pattern(tmp_path, monkeypatch):
     in batches of CENSUS_CHUNK, 512 then 389, and one child computes share 1
     (358 fields) in one class_numbers call.  Each call appends "pid n" to a
     file, the one way a child can report it (h stubbed to 0)."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 2)
     log = tmp_path / "calls"
 
     def logged(discs):
@@ -381,6 +420,7 @@ def test_census_child_result_beyond_pipe_buffer(monkeypatch):
     stubbed to 10^1000, share 1 at height 100 (358 fields) pickles to about
     150 kB, and the child blocks on its write until this process reads it.
     The census completes with those class numbers and leaves no child."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 2)
     monkeypatch.setattr(quadform, "class_numbers", lambda discs: [10**1000] * len(discs))
     records = []
     summary = census(100, records.append, workers=2)
