@@ -267,7 +267,6 @@ def factor(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
 class SquarefreePart(NamedTuple):
     d: int  # squarefree, sign(d) = sign(n)
     m: int  # positive, n = d * m^2
-    fd: FactoredInt
 
 
 def squarefree_part(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> SquarefreePart:
@@ -279,13 +278,11 @@ def squarefree_part(n: int, effort: FactorBudget = DEFAULT_BUDGET) -> Squarefree
         raise IncompleteFactorization(f"cannot certify squarefree part of {n}: {f}")
     d = f.sign
     m = 1
-    dfac = []
     for p, e in f.factors:
         m *= p ** (e // 2)
         if e % 2:
             d *= p
-            dfac.append((p, 1))
-    return SquarefreePart(d, m, FactoredInt(f.sign, tuple(dfac)))
+    return SquarefreePart(d, m)
 
 
 def fundamental_discriminant(d: int) -> int:

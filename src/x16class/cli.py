@@ -280,7 +280,7 @@ def _cmd_env(args, cfg: Config) -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "workers": x16.census_processes(),
-        "fork": hasattr(os, "fork"),
+        "fork": x16.FORK,
         "platform": platform.platform(),
     }
     print(json.dumps(env))

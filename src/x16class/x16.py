@@ -2,11 +2,11 @@
 
 f16(x) = x(x^2+1)(x^2+2x-1) defines the hyperelliptic model.  A rational
 non-cusp t = r/s in lowest terms with f16(t) < 0 gives a quadratic point
-over Q(sqrt(d)), where h16(r, s) = s^6 f16(r/s) = d m^2 with d squarefree;
-the census works with these integers.  point_from_t factors h16 with
-arith.factor; the census reads the pieces r, s, r^2+s^2 and r^2+2rs-s^2 of
-h16 off quadform's factor tables (_smooth_tables) instead and calls no
-arith.factor, so the factoring budget does not reach it.  The function
+over Q(sqrt(d)), where h16(r, s) = s^6 f16(r/s) = d m^2 with d squarefree.
+One builder (_point) takes d and m from the factored pieces r, s, r^2+s^2
+and r^2+2rs-s^2 of h16: point_from_t factors them with arith.factor under
+the budget, the census reads them off quadform's factor tables
+(_smooth_tables) and calls no arith.factor.  The function
 
     g(x, y) = (A(x) y + B(x)) / (x-1)^5,
     A = -6x^2-4x+2,  B = x^5+13x^4-2x^3+10x^2-7x+1,
@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, isqrt, prod
-from typing import BinaryIO, Callable, Optional
+from typing import BinaryIO, Callable, Iterable, Optional
 
 from . import arith, quadform
 from .arith import FactorBudget, DEFAULT_BUDGET
-from .errors import BudgetExceeded, NotImaginary, NotOnCurve, SupportCollision
+from .errors import BudgetExceeded, IncompleteFactorization, NotImaginary, NotOnCurve, SupportCollision
 from .poly import MPolyZ
 from .quadfield import QFieldElem
 from .quadform import QuadForm
@@ -89,12 +89,34 @@ class X16Point:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
 
+def _point(t: Fraction, factor_piece: Callable[[int], Iterable[tuple[int, int]]]) -> X16Point:
+    """The point at a non-cusp t = r/s from factor_piece's (prime, exponent)
+    pairs of |r|, s, r^2+s^2 and |r^2+2rs-s^2|: their exponents added (the
+    pieces need not be coprime), and d's sign that of r (r^2+2rs-s^2)."""
+    r, s = t.numerator, t.denominator
+    q = r * r + 2 * r * s - s * s
+    exps: dict[int, int] = {}
+    for k in (abs(r), s, r * r + s * s, abs(q)):
+        for p, e in factor_piece(k):
+            exps[p] = exps.get(p, 0) + e
+    fd = sorted(p for p, e in exps.items() if e % 2)
+    m = prod(p ** (e // 2) for p, e in exps.items())
+    sign = -1 if r * q < 0 else 1
+    return X16Point(t, sign * prod(fd), m, False, arith.FactoredInt(sign, tuple((p, 1) for p in fd)))
+
+
 def point_from_t(t: Fraction, effort: FactorBudget = DEFAULT_BUDGET) -> X16Point:
+    """The point at t, h16's pieces factored by arith.factor under effort."""
     t = Fraction(t)
     if t in CUSPS:
         return X16Point(t, 1, 0, True)
-    sf = arith.squarefree_part(h16_homogeneous(t.numerator, t.denominator), effort)
-    return X16Point(t, sf.d, sf.m, False, sf.fd)
+
+    def factor_piece(k: int) -> tuple[tuple[int, int], ...]:
+        if not (f := arith.factor(k, effort)).complete:
+            raise IncompleteFactorization(f"cannot factor h16 at t = {t}: piece {f}")
+        return f.factors
+
+    return _point(t, factor_piece)
 
 
 def _check_pullback_point(p: X16Point):
@@ -217,8 +239,8 @@ class CensusRecord:
 
 
 def divisibility_check(p: X16Point, h: int) -> CensusRecord:
-    """Census record of a point built by point_from_t, with the class number
-    h of its field from the caller: the genus 2-rank from the carried
+    """Census record of a point built by _point, with the class number h of
+    its field from the caller: the genus 2-rank from the carried
     factorisation of d, and the pullback order."""
     if p.cusp or p.d >= 0 or p.fd is None:
         raise ValueError("divisibility check needs an imaginary non-cusp point with d factored")
@@ -251,35 +273,25 @@ def census_parameters(height_bound: int) -> list[Fraction]:
 
 
 def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
-    """The points of point_from_t at census parameters (h16 < 0) of height
-    at most H = height_bound, with no arith.factor call: the pieces r, s,
-    r^2+s^2 and r^2+2rs-s^2 of h16(r, s), at most n = 2H^2 in absolute value,
+    """_point at census parameters of height at most H = height_bound, with
+    no arith.factor call: h16's pieces, at most n = 2H^2 in absolute value,
     are factored by quadform's tables up to n (_smooth_tables, with the primes
-    up to sqrt(n) as its small ones; freed on return), and their exponents
-    added (the pieces need not be coprime): rem gives the one prime above
-    sqrt(n), if any, then lpf and lpe the largest small prime and its power,
-    until 1 is left."""
+    up to sqrt(n) as its small ones; freed on return): rem gives the one
+    prime above sqrt(n) or 1, then lpf and lpe the largest small prime and its
+    power, until 1 is left."""
     n = 2 * height_bound * height_bound
     rem, lpf, lpe = map(memoryview, quadform._smooth_tables(n, quadform._primes_upto(isqrt(n)).tolist()))
-    points = []
-    for t in ts:
-        r, s = t.numerator, t.denominator
-        q = r * r + 2 * r * s - s * s
-        if r * q >= 0:
-            raise ValueError(f"census parameter {t} must have h16 < 0")
-        exps: dict[int, int] = {}
-        for k in (abs(r), s, r * r + s * s, abs(q)):
-            if (p := rem[k]) > 1:
-                exps[p] = exps.get(p, 0) + 1
-                k //= p
-            while k > 1:
-                p, e = lpf[k], lpe[k]
-                exps[p] = exps.get(p, 0) + e
-                k //= p**e
-        fd = sorted(p for p, e in exps.items() if e % 2)
-        m = prod(p ** (e // 2) for p, e in exps.items())
-        points.append(X16Point(t, -prod(fd), m, False, arith.FactoredInt(-1, tuple((p, 1) for p in fd))))
-    return points
+
+    def factor_piece(k: int) -> list[tuple[int, int]]:
+        out = [(p, 1)] if (p := rem[k]) > 1 else []
+        k //= p
+        while k > 1:
+            p, e = lpf[k], lpe[k]
+            out.append((p, e))
+            k //= p**e
+        return out
+
+    return [_point(t, factor_piece) for t in ts]
 
 
 # the most fields one class_numbers call of the calling census process is

@@ -236,12 +236,24 @@ def test_pullback(capsys):
     assert "order = 1" in capsys.readouterr().out
     assert main(["pullback", "--t", "2"]) == 3  # d = 70: not an imaginary field
     assert "NotImaginary" in capsys.readouterr().err
-    # a negative fraction is the value of --t, as a negative integer is
-    for t, order in (("-242/29", 1), ("29/242", 1), ("-5", 5)):
+    # a negative fraction is the value of --t, as a negative integer is; at
+    # -1014976681/109765576, h16 leaves a 24-digit cofactor that the default
+    # budget does not split, but each of its four pieces factors
+    for t, order in (("-242/29", 1), ("29/242", 1), ("-5", 5), ("-1014976681/109765576", 5)):
         for argv in (["--t", t], [f"--t={t}"]):
             assert main(["pullback", *argv]) == 0
             out = capsys.readouterr().out
             assert out.startswith(f"t = {t}: ") and out.endswith(f"order = {order}\n")
+
+
+def test_pullback_budget_names_the_piece(capsys, tmp_path):
+    """A budget too small for one of h16's pieces exits 2 and names it."""
+    t = "-1014976681/109765576"
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"trial_bound": 3, "rho_iterations": 1}))
+    assert main(["--config", str(cfgpath), "pullback", f"--t={t}"]) == 2
+    err = capsys.readouterr().err
+    assert "factorization budget exhausted" in err and f"t = {t}: piece C1014976681" in err
 
 
 def test_verify_claims(capsys):
@@ -348,7 +360,8 @@ def test_env(capsys, monkeypatch):
     assert rec["workers"] == x16.census_processes()
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     assert main(["env"]) == 0
-    assert json.loads(capsys.readouterr().out)["workers"] == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["workers"], rec["fork"]) == (1, False)
 
 
 def test_python_dash_m(tmp_path):

@@ -1,6 +1,7 @@
 """The parameter-to-class-group pipeline and the auxiliary sextic curve."""
 
 import os
+import random
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt
@@ -51,13 +52,38 @@ def test_point_from_t_field_constants():
 
 
 def test_point_from_t_factors_h16(monkeypatch):
-    """t = r/s is taken to Q(sqrt(d)) by factoring h16(r, s) itself."""
+    """t = r/s is taken to Q(sqrt(d)) by factoring the pieces |r|, s,
+    r^2+s^2 and |r^2+2rs-s^2| of h16(r, s), never h16 itself."""
     factored = []
     real_factor = arith.factor
     monkeypatch.setattr(arith, "factor", lambda n, *a: factored.append(n) or real_factor(n, *a))
     p = point_from_t(Fraction(1, 3))
-    assert factored == [h16_homogeneous(1, 3)] == [-60]
+    assert factored == [1, 3, 10, 2]  # h16(1, 3) = 1 * 3 * 10 * (-2) = -60
     assert (p.d, p.m, p.fd.value()) == (-15, 2, -15)
+
+
+def _fuzz_parameters(bits: int, count: int = 20) -> list[Fraction]:
+    """count seeded census-style t = r/s: |r|, s below 2^bits, gcd(r, s) = 1
+    and h16(r, s) < 0."""
+    rng, ts = random.Random(bits), []
+    while len(ts) < count:
+        r, s = rng.randrange(1 - 2**bits, 2**bits), rng.randrange(1, 2**bits)
+        if r and gcd(r, s) == 1 and h16_homogeneous(r, s) < 0:
+            ts.append(Fraction(r, s))
+    return ts
+
+
+@pytest.mark.parametrize("bits", [30, 40])
+def test_point_from_t_at_large_heights(bits):
+    """Where h16 itself is out of the factoring budget's reach, its pieces
+    are not: every point is built, and its pullback class is the one ideal
+    factorisation gives."""
+    for t in _fuzz_parameters(bits):
+        p = point_from_t(t)
+        assert h16_homogeneous(t.numerator, t.denominator) == p.d * p.m**2 and p.fd.value() == p.d, t
+        e = g_eval(p)
+        I = quadfield.nth_root_ideal(quadfield.factor_principal(e), 5)
+        assert cl5_pullback(p).ideal_class_form == reduce_form(quadfield.ideal_to_form(I)), t
 
 
 def test_points_carry_h16_as_d_m2():
