@@ -9,9 +9,10 @@ precision.  Identical configuration (including the RNG seed) produces
 byte-identical output files, whatever the process count: census records
 stream to the output as they are made, in canonical order, and name no
 process count.  The census runs on x16.census_processes() processes, the
-CPUs this process may use (`env` prints that count; `taskset -c 0` makes it
-one), or on fewer where its fields do not repay a fork.  An output file
-that cannot be opened is a usage error, found before any work starts.
+CPUs this process may use (`env` prints that count as "workers";
+`taskset -c 0` makes it one), or on fewer where its fields do not repay a
+fork; each computes its share of the class numbers in one call.  An output
+file that cannot be opened is a usage error, found before any work starts.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
 def _cmd_census(args, cfg: Config) -> int:
     height, path = args.height, args.jsonl
     with _Writer(path, cfg.format) as writer:
-        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)), x16.census_processes())
+        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)), parallel=True)
         writer.write(
             {
                 "summary": True,

@@ -9,6 +9,8 @@ by one remainder step, rem_monic.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Mapping, Sequence
 
 
@@ -187,6 +189,10 @@ def verify_identity(lhs: MPolyZ, rhs: MPolyZ) -> bool:
 # prefix-syntax expression parser for the claim registry
 # ---------------------------------------------------------------------------
 
+# the n-ary operators of parse_prefix, each a left fold of its arguments
+_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def parse_prefix(text: str) -> MPolyZ:
     """Parse a prefix expression like ``(+ (^ r 2) (* 2 r s))`` into MPolyZ.
 
@@ -207,23 +213,10 @@ def parse_prefix(text: str) -> MPolyZ:
             while tokens[pos] != ")":
                 args.append(parse())
             pos += 1
-            if op == "+":
-                r = args[0]
-                for a in args[1:]:
-                    r = r + a
-                return r
-            if op == "-":
-                if len(args) == 1:
-                    return -args[0]
-                r = args[0]
-                for a in args[1:]:
-                    r = r - a
-                return r
-            if op == "*":
-                r = args[0]
-                for a in args[1:]:
-                    r = r * a
-                return r
+            if op == "-" and len(args) == 1:
+                return -args[0]
+            if op in _FOLDS:
+                return reduce(_FOLDS[op], args)
             if op == "^":
                 base, expo = args
                 if expo.degree() != 0:

@@ -14,8 +14,8 @@ the budget, the census reads them off quadform's factor tables
 has divisor 5(P1bar - omega(P1bar)) on the integral model, so the ideal
 (g(P)) is a fifth power and its fifth root is a 5-torsion ideal class.  The
 census runs this pipeline over all t of bounded height; its class numbers
-come from quadform.class_numbers, with the fields cut into one contiguous
-share per process: this one computes share 0, forked children the rest.
+come from one quadform.class_numbers call per process on a contiguous share
+of the fields: this one computes share 0, forked children the rest.
 
 The census does not factor g(P).  Two polynomial facts pin the fifth root
 down: B^2 - A^2 f16 = (x-1)^10, and U A + V B = 64 for integer polynomials
@@ -240,12 +240,13 @@ class CensusRecord:
 
 def divisibility_check(p: X16Point, h: int) -> CensusRecord:
     """Census record of a point built by _point, with the class number h of
-    its field from the caller: the genus 2-rank from the carried
-    factorisation of d, and the pullback order."""
-    if p.cusp or p.d >= 0 or p.fd is None:
-        raise ValueError("divisibility check needs an imaginary non-cusp point with d factored")
-    tr = quadform.two_rank_from_factors(p.d, p.fd)
+    its field from the caller: the pullback order, whose guard rejects cusps,
+    t = 1 and real fields, and the genus 2-rank from the carried
+    factorisation of d (ValueError if p carries none)."""
     five = cl5_pullback(p).order
+    if p.fd is None:
+        raise ValueError("divisibility check needs d factored")
+    tr = quadform.two_rank_from_factors(p.d, p.fd)
     return CensusRecord(p.t, p.d, p.disc, h, tr, five, h % 10 == 0)
 
 
@@ -294,11 +295,6 @@ def _census_points(ts: list[Fraction], height_bound: int) -> list[X16Point]:
     return [_point(t, factor_piece) for t in ts]
 
 
-# the most fields one class_numbers call of the calling census process is
-# sent: it computes its share in batches of this size, each one when a
-# record first needs it
-CENSUS_CHUNK = 512
-
 # the least summed isqrt(|D| // 3) of the fields (class_numbers' sieve cost)
 # that each census process is given.  On a 2-vCPU machine a second process
 # lost 6-11 ms at heights 12-25 (shares up to 33 000), won or lost ~3 ms at
@@ -323,16 +319,16 @@ def census_processes() -> int:
         return os.cpu_count() or 1
 
 
-def _census_shares(discs: list[int], workers: int) -> list[list[int]]:
+def _census_shares(discs: list[int], processes: int) -> list[list[int]]:
     """discs cut into w contiguous shares, in order, share k for process k,
-    process 0 being the calling one.  w is at most workers,
-    census_processes() and len(discs), and gives each process at least
-    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), what class_numbers' sieve
-    costs (w = 1 if the census is smaller).  The cuts fall at the cost
-    quantiles k/w, each share keeping at least one field."""
+    process 0 being the calling one.  w is at most processes and len(discs),
+    and gives each process at least CENSUS_MIN_WORK of the summed
+    isqrt(|D| // 3), what class_numbers' sieve costs (w = 1 if the census is
+    smaller).  The cuts fall at the cost quantiles k/w, each share keeping at
+    least one field."""
     n = len(discs)
     cost = list(accumulate(isqrt(-D // 3) for D in discs)) or [0]
-    w = max(1, min(workers, census_processes(), n, cost[-1] // CENSUS_MIN_WORK))
+    w = max(1, min(processes, n, cost[-1] // CENSUS_MIN_WORK))
     cuts = [0]
     for k in range(1, w):
         cuts.append(bisect_left(cost, cost[-1] * k / w, cuts[-1] + 1, n - (w - k)))
@@ -375,21 +371,17 @@ def _fork_worker(share: list[int]) -> tuple[int, BinaryIO]:
 
 
 def _class_numbers_by_share(shares: list[list[int]]):
-    """(discs, quadform.class_numbers(discs)) for every field of the shares,
-    yielded in order.  Share 0 is computed by this process in batches of
-    CENSUS_CHUNK fields, each when it is asked for; each other share by a
-    forked child (_fork_worker) in one call while this one works.  A child's
-    exception is raised here; a child that ends without a result raises
-    RuntimeError.  Closing the generator, or its raising, kills and reaps
-    every child."""
+    """(share, quadform.class_numbers(share)) for each share, yielded in
+    order, one class_numbers call per share: share 0 by this process, each
+    other share by a forked child (_fork_worker) while this one works.  A
+    child's exception is raised here; a child that ends without a result
+    raises RuntimeError.  Closing the generator, or its raising, kills and
+    reaps every child."""
     children = []
     try:
         for share in shares[1:]:
             children.append(_fork_worker(share))
-        own = shares[0]
-        for i in range(0, len(own), CENSUS_CHUNK):
-            batch = own[i : i + CENSUS_CHUNK]
-            yield batch, quadform.class_numbers(batch)
+        yield shares[0], quadform.class_numbers(shares[0])
         for k, (share, (pid, pipe)) in enumerate(zip(shares[1:], children), 1):
             try:
                 ok, value = pickle.load(pipe)
@@ -408,7 +400,7 @@ def _class_numbers_by_share(shares: list[list[int]]):
 def census(
     height_bound: int,
     sink: Optional[Callable[[CensusRecord], None]] = None,
-    workers: int = 1,
+    parallel: bool = False,
 ) -> CensusSummary:
     """Run divisibility_check on every non-cusp imaginary t of bounded height;
     each record reaches `sink` in canonical order as soon as its h is known.
@@ -416,26 +408,25 @@ def census(
     The points are built once, here.  The distinct discriminants up to
     quadform.CLASS_NUMBER_DISC_CAP, in order of first appearance, are cut
     into contiguous shares of about equal cost (_census_shares), one for each
-    of w processes, w at most `workers` and census_processes(), as many as
-    the fields' cost repays (CENSUS_MIN_WORK each): this process computes
-    share 0 in batches of CENSUS_CHUNK fields, each when a record first
-    needs it, and w - 1 forked children the other shares at the same time,
-    one quadform.class_numbers call each (_class_numbers_by_share).  So each
-    field is sieved once, and the records do not depend on w.  The default
-    forks nothing, as forking a threaded caller is not safe; the CLI passes
-    census_processes().  No child outlives the call.  A record over the cap
+    of w processes, with one quadform.class_numbers call per share
+    (_class_numbers_by_share): this process computes share 0 when the first
+    record needs it, and w - 1 forked children the other shares at the same
+    time.  So each field is sieved once, and the records do not depend on
+    w.  With parallel, w is at most census_processes(), and only as many as
+    the fields' cost repays (CENSUS_MIN_WORK each); without, w = 1 and
+    nothing is forked, as forking a threaded caller is not safe (the CLI
+    passes parallel=True).  No child outlives the call.  A record over the cap
     becomes an error row "Type: message": the census asks
     quadform.class_number for its h, whose cap check raises BudgetExceeded
     before it allocates.  A census discriminant is fundamental (d is
     squarefree, D = d or 4d), so any exception from class_numbers is a bug
     and propagates."""
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     summary = CensusSummary()
     points = _census_points(census_parameters(height_bound), height_bound)
     distinct = dict.fromkeys(p.disc for p in points)  # share 0 serves the first records
     hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
-    results = _class_numbers_by_share(_census_shares([D for D in distinct if D not in hs], workers))
+    shares = _census_shares([D for D in distinct if D not in hs], census_processes() if parallel else 1)
+    results = _class_numbers_by_share(shares)
     try:
         for p in points:
             while p.disc not in hs:

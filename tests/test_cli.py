@@ -167,12 +167,10 @@ def test_census_pool_matches_serial(tmp_path, capsys, monkeypatch, config, heigh
     <= 20 whose |disc| exceeds 2^20 fail.  The cap is checked in the parent,
     before any fork.  With any cost enough for a fork, the 35 fields below
     the cap at height 20, and the 8 of height 8, are cut into one contiguous
-    share per CPU; this process computes the first share in batches of at
-    most 4 fields, each share beyond it is one forked child, and none is
-    left after the census."""
+    share per CPU; this process computes the first share, each share beyond
+    it is one forked child, and none is left after the census."""
     for name, value in config.items():
         monkeypatch.setattr(quadform, name, value)
-    monkeypatch.setattr(x16, "CENSUS_CHUNK", 4)
     monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())

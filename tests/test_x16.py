@@ -1,6 +1,7 @@
 """The parameter-to-class-group pipeline and the auxiliary sextic curve."""
 
 import os
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -180,6 +181,19 @@ def test_divisibility_check_t_minus_5(monkeypatch):
     assert rec.five_order == 5 and rec.div10
 
 
+def test_divisibility_check_rejects_what_cl5_pullback_rejects():
+    """cl5_pullback's guard decides cusps, t = 1 and real fields, with its
+    own errors; a point built without the factorisation of d (X16Point is
+    public) is a ValueError."""
+    with pytest.raises(ValueError):
+        divisibility_check(point_from_t(Fraction(-1)), 1)
+    with pytest.raises(NotImaginary):
+        divisibility_check(point_from_t(Fraction(2)), 1)  # d = 70
+    p = point_from_t(Fraction(-5))
+    with pytest.raises(ValueError, match="d factored"):
+        divisibility_check(x16.X16Point(p.t, p.d, p.m, False), 20)
+
+
 def test_census_parameters_order_and_content():
     ts = census_parameters(5)
     assert all(h16_homogeneous(t, 1) < 0 and t not in CUSPS for t in ts)
@@ -242,14 +256,13 @@ def _count_class_numbers(monkeypatch, stub=False):
 
 
 def test_census_sieves_each_field_once(monkeypatch):
-    """class_numbers is sent every field of the census once: 1 259 rows for
-    the 1 259 fields of height <= 100 (h stubbed to 0, as only the rows
-    count)."""
+    """class_numbers is sent every field of the census once: the serial
+    census of height <= 100 makes one call of its 1 259 fields (h stubbed to
+    0, as only the rows count)."""
     batches = _count_class_numbers(monkeypatch, stub=True)
     census(100)
-    rows = [D for batch in batches for D in batch]
     fields = {p.disc for p in x16._census_points(census_parameters(100), 100)}
-    assert len(rows) == len(fields) == 1259 and set(rows) == fields
+    assert [len(batch) for batch in batches] == [len(fields)] == [1259] and set(batches[0]) == fields
 
 
 def test_census_over_cap_records_only_become_errors(monkeypatch):
@@ -269,14 +282,17 @@ def test_census_over_cap_records_only_become_errors(monkeypatch):
 
 
 def test_census_streams_records(monkeypatch):
-    """A record reaches the sink as soon as its class number is known: with
-    batches of 16 fields, the first record arrives before the second
-    class_numbers call, and the records come in census_parameters order."""
-    monkeypatch.setattr(x16, "CENSUS_CHUNK", 16)
-    batches = _count_class_numbers(monkeypatch)
-    records, calls_at_first = [], []
-    census(20, lambda rec: records.append(rec) or calls_at_first.append(len(batches)))
-    assert calls_at_first[0] == 1 and len(batches) == 4
+    """A record reaches the sink as soon as its class number is known: on 2
+    processes, the first record arrives before the child's result is read,
+    and the records come in census_parameters order."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 2)
+    monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
+    events, real_load = [], pickle.load
+    monkeypatch.setattr(pickle, "load", lambda f: events.append("load") or real_load(f))
+    records = []
+    census(20, lambda rec: records.append(rec) or events.append("record"), parallel=True)
+    _no_child_left()
+    assert events.index("record") < events.index("load") and events.count("load") == 1
     assert [rec.t for rec in records] == census_parameters(20)
 
 
@@ -296,42 +312,37 @@ def test_census_processes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "height, workers, chunk, min_work, sizes",
+    "height, processes, min_work, sizes",
     [
-        (36, 2, 512, None, [118, 44]),
-        (36, 8, 512, None, [118, 44]),  # 394 592 of cost repays 2 processes
-        (50, 3, 512, None, [186, 65, 68]),
-        (8, 4, 512, None, [8]),  # 403 repays no fork
-        (36, 2, 90, None, [118, 44]),  # CENSUS_CHUNK does not cut a share
-        (100, 2, 512, None, [901, 358]),
-        (20, 3, 1, 1, [29, 12, 9]),
+        (36, 2, None, [118, 44]),
+        (36, 8, None, [118, 44]),  # 394 592 of cost repays 2 processes
+        (50, 3, None, [186, 65, 68]),
+        (8, 4, None, [8]),  # 403 repays no fork
+        (100, 2, None, [901, 358]),
+        (20, 3, 1, [29, 12, 9]),
     ],
 )
-def test_census_shares(monkeypatch, height, workers, chunk, min_work, sizes):
+def test_census_shares(monkeypatch, height, processes, min_work, sizes):
     """_census_shares puts every field in exactly one share, in order of
     first appearance (so share 0 holds the first fields), at least one each.
-    There is one share per process, up to `workers` and the CPUs (8 here),
-    as many as give each CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and
-    each is within two fields' cost of an equal share."""
-    monkeypatch.setattr(x16, "census_processes", lambda: 8)
-    monkeypatch.setattr(x16, "CENSUS_CHUNK", chunk)
+    There is one share per process, up to `processes`, as many as give each
+    CENSUS_MIN_WORK of the summed isqrt(|D| // 3), and each is within two
+    fields' cost of an equal share."""
     if min_work is not None:
         monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work)
     discs = list(dict.fromkeys(p.disc for p in x16._census_points(census_parameters(height), height)))
-    shares = x16._census_shares(discs, workers)
+    shares = x16._census_shares(discs, processes)
     assert [D for share in shares for D in share] == discs
     assert [len(share) for share in shares] == sizes
     cost = {D: isqrt(-D // 3) for D in discs}
     total, n = sum(cost.values()), len(discs)
-    assert len(shares) == max(1, min(workers, n, total // x16.CENSUS_MIN_WORK))
+    assert len(shares) == max(1, min(processes, n, total // x16.CENSUS_MIN_WORK))
     for share in shares:
         assert abs(sum(cost[D] for D in share) - total / len(shares)) <= 2 * max(cost.values())
-    assert x16._census_shares(discs[:1], workers) == [discs[:1]]
-    assert x16._census_shares([], workers) == [[]]
-    monkeypatch.setattr(x16, "census_processes", lambda: 2)
-    assert len(x16._census_shares(discs, workers)) == min(len(sizes), 2)
-    monkeypatch.setattr(x16, "census_processes", lambda: 1)  # one CPU, or no os.fork
-    assert x16._census_shares(discs, workers) == [discs]
+    assert x16._census_shares(discs[:1], processes) == [discs[:1]]
+    assert x16._census_shares([], processes) == [[]]
+    assert len(x16._census_shares(discs, 2)) == min(len(sizes), 2)
+    assert x16._census_shares(discs, 1) == [discs]  # one CPU, no os.fork, or not parallel
 
 
 def _no_child_left():
@@ -340,30 +351,26 @@ def _no_child_left():
 
 
 def test_census_workers(monkeypatch):
-    """With workers > 1 the census forks at most workers - 1 children (on 4
-    CPUs here), one per share after the first, and only for fields whose
-    cost repays them (none where os.fork is missing); it gives the records
-    of the serial census, and leaves no child, whether it returns or raises.
-    An exception in a child is raised in the parent with its type; a child
-    that ends without a result is a RuntimeError naming its share.  The
-    warning that Python >= 3.12 gives at a fork with threads running is not
-    raised."""
+    """In parallel on c CPUs the census forks at most c - 1 children, one per
+    share after the first, and only for fields whose cost repays them (none
+    where os.fork is missing); it gives the records of the serial census,
+    and leaves no child, whether it returns or raises.  An exception in a
+    child is raised in the parent with its type; a child that ends without a
+    result is a RuntimeError naming its share.  The warning that Python >=
+    3.12 gives at a fork with threads running is not raised."""
     real_processes = x16.census_processes
-    monkeypatch.setattr(x16, "census_processes", lambda: 4)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     cases = ((20, 2, 1, 1), (20, 4, 1, 3), (4, 4, 1, 1), (3, 4, 1, 0), (20, 4, None, 0), (36, 4, None, 1))
-    for height, workers, min_work, children in cases:
+    for height, cpus, min_work, children in cases:
+        monkeypatch.setattr(x16, "census_processes", lambda: cpus)
         monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work or 150_000)
         serial, records = [], []
         census(height, serial.append)
         forks.clear()
-        census(height, records.append, workers)
+        census(height, records.append, parallel=True)
         _no_child_left()
-        assert len(forks) == children and records == serial, (height, workers)
-
-    with pytest.raises(ValueError):
-        census(20, workers=0)
+        assert len(forks) == children and records == serial, (height, cpus)
 
     def warning_fork():
         pid = real_fork()
@@ -372,7 +379,7 @@ def test_census_workers(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)  # as Python >= 3.12 with OpenBLAS threads
-    assert census(36, workers=2).records == 328
+    assert census(36, parallel=True).records == 328
     _no_child_left()
 
     parent, real = os.getpid(), quadform.class_numbers
@@ -384,7 +391,7 @@ def test_census_workers(monkeypatch):
 
     monkeypatch.setattr(quadform, "class_numbers", failing)
     with pytest.raises(ZeroDivisionError, match="in the child"):
-        census(36, workers=2)
+        census(36, parallel=True)
     _no_child_left()
 
     def dying(discs):
@@ -394,36 +401,19 @@ def test_census_workers(monkeypatch):
 
     monkeypatch.setattr(quadform, "class_numbers", dying)
     with pytest.raises(RuntimeError, match="share 1"):
-        census(36, workers=2)
+        census(36, parallel=True)
     _no_child_left()
 
     monkeypatch.setattr(x16, "census_processes", real_processes)
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     forks.clear()
-    assert census(36, workers=2).records == 328 and forks == []  # no share met `dying` in a child
-
-
-def test_census_forks_at_most_the_cpus(monkeypatch):
-    """census(..., workers=8) forks at most census_processes() - 1 children,
-    even where every field's cost would repay a fork."""
-    monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
-    assert census(20, workers=8).records == 104
-    _no_child_left()
-    assert len(forks) == min(8, x16.census_processes()) - 1
-    monkeypatch.setattr(x16, "census_processes", lambda: 3)
-    forks.clear()
-    assert census(20, workers=8).records == 104
-    _no_child_left()
-    assert len(forks) == 2
+    assert census(36, parallel=True).records == 328 and forks == []  # no share met `dying` in a child
 
 
 def test_census_call_pattern(tmp_path, monkeypatch):
     """At height 100 on 2 processes, this one computes share 0 (901 fields)
-    in batches of CENSUS_CHUNK, 512 then 389, and one child computes share 1
-    (358 fields) in one class_numbers call.  Each call appends "pid n" to a
+    and one child share 1 (358 fields), each in one class_numbers call.  Each call appends "pid n" to a
     file, the one way a child can report it (h stubbed to 0)."""
     monkeypatch.setattr(x16, "census_processes", lambda: 2)
     log = tmp_path / "calls"
@@ -434,10 +424,10 @@ def test_census_call_pattern(tmp_path, monkeypatch):
         return [0] * len(discs)
 
     monkeypatch.setattr(quadform, "class_numbers", logged)
-    census(100, workers=2)
+    census(100, parallel=True)
     _no_child_left()
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert [n for pid, n in calls if pid == os.getpid()] == [512, 389]
+    assert [n for pid, n in calls if pid == os.getpid()] == [901]
     assert [n for pid, n in calls if pid != os.getpid()] == [358]
 
 
@@ -449,7 +439,7 @@ def test_census_child_result_beyond_pipe_buffer(monkeypatch):
     monkeypatch.setattr(x16, "census_processes", lambda: 2)
     monkeypatch.setattr(quadform, "class_numbers", lambda discs: [10**1000] * len(discs))
     records = []
-    summary = census(100, records.append, workers=2)
+    summary = census(100, records.append, parallel=True)
     _no_child_left()
     assert summary.records == len(records) == len(census_parameters(100))
     assert all(rec.h == 10**1000 for rec in records)
