@@ -102,16 +102,17 @@ def _strong_lucas(n: int) -> bool:
         d //= 2
         s += 1
 
-    def half(x: int) -> int:
-        return (x if x % 2 == 0 else x + n) // 2 % n
-
-    # U_k, V_k and Q^k for the prefixes k of d's binary expansion
-    u, v, qk = 1, 1, Q % n
+    # V_k, V_{k+1} and Q^k for the prefixes k of d's binary expansion, from
+    # V_{2k} = V_k^2 - 2Q^k and V_{2k+1} = V_k V_{k+1} - Q^k (Baillie and
+    # Wagstaff, Lucas pseudoprimes, 1980)
+    v, w, qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
         if bit == "1":
-            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
-    if u == 0 or v == 0:
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    # U_d = 0 mod n tested as D U_d = 2 V_{d+1} - V_d: (D|n) = -1, so D is prime to n
+    if (2 * w - v) % n == 0 or v == 0:
         return True
     for _ in range(s - 1):
         v, qk = (v * v - 2 * qk) % n, qk * qk % n

@@ -1,4 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: ``x16class [--config PATH] COMMAND [OPTION ...]``.
+
+COMMANDS holds each command's handler, help line and options.  An option's
+value follows "=" or is the next token, a negative one included
+(``--t -242/29``, ``--t=-242/29``); a negative positional follows ``--``
+(``factor -- -360``).  Option names are not abbreviated.  -h or --help lists
+the commands, or after a command its options.  verify-claims prints each
+claim's time on stderr, so its stdout is the same on every run.
 
 Exit codes: 0 success, 1 mathematical violation found, 2 budget, size cap
 or incompleteness, 3 usage error, including input outside the domain (an
@@ -17,7 +24,6 @@ file that cannot be opened is a usage error, found before any work starts.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
@@ -25,9 +31,9 @@ import platform
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from math import log
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -110,28 +116,6 @@ class _Writer:
         self.csv.writerow({k: json.dumps(v) if isinstance(v, list) else v for k, v in row.items()})
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text}") from exc
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        return n
-
-    return parse
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -209,11 +193,10 @@ def _cmd_pullback(args, cfg: Config) -> int:
 
 def _cmd_verify_claims(args, cfg: Config) -> int:
     results = identities.verify_all(args.only)
-    failed = False
-    for r in results:
-        print(f"{r.id:22s} {r.status:8s} {r.elapsed * 1000:8.2f} ms  {r.description}")
-        failed = failed or r.status == "fail"
-    return EXIT_VIOLATION if failed else EXIT_OK
+    for r in results:  # the time on stderr, so that stdout is the same on every run
+        print(f"{r.id:22s} {r.status:8s} {r.description}")
+        print(f"{r.id:22s} {r.elapsed * 1000:8.2f} ms", file=sys.stderr)
+    return EXIT_VIOLATION if any(r.status == "fail" for r in results) else EXIT_OK
 
 
 def _cmd_verify_table1(args, cfg: Config) -> int:
@@ -289,82 +272,131 @@ def _cmd_env(args, cfg: Config) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and its parser
 # ---------------------------------------------------------------------------
 
-@cache  # built once per process: main may run several commands
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="x16class",
-        description="class-number divisibility toolkit for imaginary quadratic fields",
-    )
-    ap.add_argument("--config", help=f"config JSON path (default: ${CONFIG_ENV})")
-    sub = ap.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    p = sub.add_parser("factor", help="factor an integer within the budget")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_factor)
 
-    p = sub.add_parser("classgroup", help="class number / group structure of a discriminant")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--forms", action="store_true", help="also list the reduced forms")
-    p.add_argument("--structure", action="store_true", help="also print elementary divisors")
-    p.set_defaults(handler=_cmd_classgroup)
+class Option(NamedTuple):
+    """A command's option: the type of its value (bool for a flag, which
+    takes none), its default or REQUIRED, and the least value of an integer.
+    A name without "--" is positional."""
 
-    p = sub.add_parser("census", help="divisibility census over bounded-height parameters")
-    p.add_argument("--height", type=_int_at_least(1), default=50)
-    p.add_argument("--jsonl", help="output path (default stdout)")
-    p.set_defaults(handler=_cmd_census)
+    type: type
+    default: object = None
+    least: Optional[int] = None
 
-    p = sub.add_parser("pullback", help="order-5 ideal class pullback at a parameter t")
-    p.add_argument("--t", type=_parse_rational, required=True, help="the parameter, such as -5 or -242/29")
-    p.set_defaults(handler=_cmd_pullback)
 
-    p = sub.add_parser("verify-claims", help="run the algebraic claim registry")
-    p.add_argument("--only", help="single claim id")
-    p.set_defaults(handler=_cmd_verify_claims)
+GLOBAL_OPTIONS = {"--config": Option(str)}  # the options before the command
 
-    p = sub.add_parser("verify-table1", help="class numbers, point list, and 5-indivisibility checks")
-    p.set_defaults(handler=_cmd_verify_table1)
+# command: (handler, help line, options)
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, Config], int], str, dict[str, Option]]] = {
+    "factor": (_cmd_factor, "factor an integer within the budget", {"n": Option(int, REQUIRED)}),
+    "classgroup": (_cmd_classgroup, "class number of a discriminant, and its group structure or reduced forms",
+                   {"--disc": Option(int, REQUIRED), "--forms": Option(bool, False), "--structure": Option(bool, False)}),
+    "census": (_cmd_census, "divisibility census over bounded-height parameters, to --jsonl or stdout",
+               {"--height": Option(int, 50, least=1), "--jsonl": Option(str)}),
+    "pullback": (_cmd_pullback, "order-5 ideal class pullback at a parameter t", {"--t": Option(Fraction, REQUIRED)}),
+    "verify-claims": (_cmd_verify_claims, "run the algebraic claim registry, or one claim", {"--only": Option(str)}),
+    "verify-table1": (_cmd_verify_table1, "class numbers, point list, and 5-indivisibility checks", {}),
+    "verify-example6": (_cmd_verify_example6, "verify the pinned 181-digit example", {}),
+    "verify-lemmas": (_cmd_verify_lemmas, "polynomial identities behind the pullback's closed form", {}),
+    "heuristic": (_cmd_heuristic, "p z^2 search along multiples of the generator, to --jsonl or stdout",
+                  {"--mmax": Option(int, REQUIRED, least=0), "--jsonl": Option(str)}),
+    "pi2": (_cmd_pi2, "count integers below n of the form p z^2", {"--n": Option(int, REQUIRED, least=1)}),
+    "env": (_cmd_env, "print versions, CPU count, census workers, fork support and platform", {}),
+}
 
-    p = sub.add_parser("verify-example6", help="verify the pinned 181-digit example")
-    p.set_defaults(handler=_cmd_verify_example6)
 
-    p = sub.add_parser("verify-lemmas", help="polynomial identities behind the pullback's closed form")
-    p.set_defaults(handler=_cmd_verify_lemmas)
+def _convert(name: str, option: Option, text: Optional[str]):
+    """An option's value from its text, which is None where argv ended."""
+    if text is None:
+        raise ValueError(f"{name} needs a value")
+    try:
+        value = option.type(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name}: invalid {option.type.__name__} value {text!r}") from None
+    if option.least is not None and value < option.least:
+        raise ValueError(f"{name}: must be at least {option.least}, got {value}")
+    return value
 
-    p = sub.add_parser("heuristic", help="p z^2 search along multiples of the generator")
-    p.add_argument("--mmax", type=_int_at_least(0), required=True)
-    p.add_argument("--jsonl", help="output path (default stdout)")
-    p.set_defaults(handler=_cmd_heuristic)
 
-    p = sub.add_parser("pi2", help="count integers below n of the form p z^2")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_pi2)
+def parse_args(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
+    """The command argv names and its options, named without "--", the config
+    path as `config`; no options where -h or --help asks for help.  An
+    option's value follows "=" or is the next token, even one that starts
+    with "-"; after "--" every token is positional.  A usage error raises
+    ValueError naming the option."""
+    command, options, values, positional = None, GLOBAL_OPTIONS, {"--config": None}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        if token == "--" and command:
+            positional += tokens
+        elif token.startswith("--"):
+            name, eq, text = token.partition("=")
+            option = options.get(name)
+            if option is None:
+                raise ValueError(f"unknown option {name}" + (f" for {command}" if command else ""))
+            if option.type is bool and eq:
+                raise ValueError(f"{name} takes no value")
+            values[name] = True if option.type is bool else _convert(name, option, text if eq else next(tokens, None))
+        elif command is None:
+            if token not in COMMANDS:
+                raise ValueError(f"unknown command {token}; x16class -h lists them")
+            command, options = token, COMMANDS[token][2]
+        else:
+            positional.append(token)
+    if command is None:
+        raise ValueError("no command given; x16class -h lists them")
+    slots = [name for name in options if not name.startswith("--")]
+    if len(positional) > len(slots):
+        raise ValueError(f"{command} takes no argument {positional[len(slots)]}")
+    values.update((name, _convert(name, options[name], text)) for name, text in zip(slots, positional))
+    for name, option in options.items():
+        if values.setdefault(name, option.default) is REQUIRED:
+            raise ValueError(f"{command} needs {name}")
+    return command, SimpleNamespace(**{name.lstrip("-"): value for name, value in values.items()})
 
-    p = sub.add_parser("env", help="print versions, CPU count, census workers, fork support and platform")
-    p.set_defaults(handler=_cmd_env)
 
-    return ap
+def _help(command: Optional[str]) -> str:
+    """The top level's usage and each command's help line, or a command's
+    usage, each option bracketed unless required and shown with its default
+    if it has one, and its help line."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        rows = (f"  {name:{width}}  {about}" for name, (_, about, _) in COMMANDS.items())
+        about = f"class-number divisibility toolkit; --config names a JSON file (default: ${CONFIG_ENV})"
+        return "\n".join(["usage: x16class [--config CONFIG] COMMAND ...", about, *rows])
+    _, about, options = COMMANDS[command]
+    words = ["usage: x16class", command]
+    for name, option in options.items():
+        if option.type is bool:
+            form = name
+        elif not name.startswith("--"):
+            form = name.upper()
+        elif option.default is None or option.default is REQUIRED:
+            form = f"{name} {name[2:].upper()}"
+        else:
+            form = f"{name}={option.default}"
+        words.append(form if option.default is REQUIRED else f"[{form}]")
+    return f"{' '.join(words)}\n{about}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes -242/29, unlike -5, for an option
-        if argv[i - 1] == "--t" and argv[i].startswith("-"):
-            argv[i - 1 : i + 1] = [f"--t={argv[i]}"]
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = load_config(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = args.handler(args, cfg)
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(command))
+            return EXIT_OK
+        try:
+            cfg = load_config(args.config)
+        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            print(f"bad configuration: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        code = COMMANDS[command][0](args, cfg)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

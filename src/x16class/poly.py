@@ -93,7 +93,7 @@ class MPolyZ:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MPolyZ(a.variables, terms)
 
@@ -107,8 +107,9 @@ class MPolyZ:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square beyond the top bit
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

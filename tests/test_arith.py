@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from x16class import arith
+from x16class import arith, ecq
 from x16class.arith import FactorBudget
 from x16class.errors import NotSquarefree
 
@@ -104,6 +104,55 @@ def test_bpsw_halves_against_known_pseudoprimes():
     # the search meets |D| = n with (D|n) = 0
     for n in range(5, 2000, 2):
         assert arith._strong_lucas(n) == all(n % q for q in range(3, math.isqrt(n) + 1, 2)), n
+
+
+def _strong_lucas_uv(n):
+    """The U/V chain that _strong_lucas's V-only ladder replaced: the same
+    test, with U_k kept beside V_k and halved mod n at each odd step."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = arith.kronecker(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def test_strong_lucas_ladder_matches_uv_chain():
+    """The V-only ladder decides U_d = 0 from 2 V_{d+1} - V_d = D U_d; on
+    10 000 seeded odd n below 10^12, the pseudoprimes, and Example 6's p
+    and a multiple of it, it agrees with the U/V chain."""
+    rng = random.Random(28)
+    cases = [rng.randrange(3, 10**12) | 1 for _ in range(10000)]
+    r, s = ecq.EXAMPLE6_U**2, ecq.EXAMPLE6_V**2
+    p = (r * r + s * s) // 2
+    cases += [*STRONG_LUCAS_PSEUDOPRIMES, *STRONG_BASE2_PSEUDOPRIMES, 2**89 - 1, 2**83 - 1, p, p * (2**89 - 1)]
+    for n in cases:
+        assert arith._strong_lucas(n) == _strong_lucas_uv(n), n
 
 
 def test_is_probable_prime_matches_sympy():

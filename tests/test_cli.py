@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ def test_config_validation(tmp_path, capsys):
     assert "bad configuration" in capsys.readouterr().err
     # the census height and the output path are flags only, and the census's
     # process count is the CPUs it may use
-    assert cli.build_parser().parse_args(["census"]).height == 50
+    assert cli.parse_args(["census"])[1].height == 50
     for key, value in (("height_bound", 7), ("output_path", "out.jsonl"), ("worker_count", 2)):
         path.write_text(json.dumps({key: value}))
         assert main(["--config", str(path), "factor", "12"]) == 3
@@ -262,6 +263,22 @@ def test_verify_claims(capsys):
     assert main(["verify-claims", "--only", "claim99"]) == 3  # unknown claim
 
 
+def test_verify_claims_stdout_is_deterministic(capsys):
+    """Each claim's wall time goes to stderr, so stdout is the same on every
+    run: one line per claim, its id, status and description."""
+    outputs = []
+    for _ in range(2):
+        assert main(["verify-claims"]) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        lines = captured.out.splitlines()
+        assert len(lines) == len(captured.err.splitlines()) == 42
+        assert all(line.endswith(" ms") for line in captured.err.splitlines())
+    assert outputs[0] == outputs[1]
+    statuses = [line.split()[1] for line in outputs[0].splitlines()]
+    assert (statuses.count("pass"), statuses.count("external")) == (24, 18)
+
+
 def test_verify_table1(capsys):
     assert main(["verify-table1"]) == 0
     out = capsys.readouterr().out
@@ -274,9 +291,11 @@ def test_verify_example6(capsys):
 
 
 def test_main_reuses_its_parser(capsys):
-    """One process, one parser: each command through main still gets its
-    own exit code and output, so no parse leaks into the next."""
-    assert cli.build_parser() is cli.build_parser()
+    """One process, one command table: each command through main still gets
+    its own exit code and output, so no parse leaks into the next, and a
+    value given once does not become the next parse's default."""
+    assert cli.parse_args(["census", "--height", "7"])[1].height == 7
+    assert cli.parse_args(["census"])[1].height == 50
     assert main(["pi2"]) == 3
     captured = capsys.readouterr()
     assert "--n" in captured.err and captured.out == ""
@@ -434,3 +453,126 @@ def test_census_into_closed_pipe(tmp_path, monkeypatch):
         monkeypatch.setattr(x16, "census_processes", lambda: 2)
         assert main(["census", "--height", "36"]) == 141
     _no_child_left()
+
+
+# each command's required tokens, and every option it then holds
+PARSED = {
+    "factor": (["12"], {"n": 12}),
+    "classgroup": (["--disc", "-84"], {"disc": -84, "forms": False, "structure": False}),
+    "census": ([], {"height": 50, "jsonl": None}),
+    "pullback": (["--t", "-242/29"], {"t": Fraction(-242, 29)}),
+    "verify-claims": ([], {"only": None}),
+    "verify-table1": ([], {}),
+    "verify-example6": ([], {}),
+    "verify-lemmas": ([], {}),
+    "heuristic": (["--mmax", "0"], {"mmax": 0, "jsonl": None}),
+    "pi2": (["--n", "20"], {"n": 20}),
+    "env": ([], {}),
+}
+
+REQUIRED_OPTION = {"factor": "n", "classgroup": "--disc", "pullback": "--t", "heuristic": "--mmax", "pi2": "--n"}
+
+
+@pytest.mark.parametrize("command", PARSED)
+def test_command_defaults_and_required_options(command):
+    """Each command's defaults; without its required option, the usage
+    error names that option."""
+    assert list(PARSED) == list(cli.COMMANDS)
+    required, expected = PARSED[command]
+    name, args = cli.parse_args([command, *required])
+    assert name == command and vars(args) == {"config": None, **expected}
+    if command in REQUIRED_OPTION:
+        with pytest.raises(ValueError, match=f"^{command} needs {REQUIRED_OPTION[command]}$"):
+            cli.parse_args([command])
+    else:
+        assert cli.parse_args([command])[0] == command
+
+
+def test_option_forms():
+    """--opt VALUE and --opt=VALUE; the token after an option is its value,
+    a negative one included; after --, a token is positional."""
+    for argv in (["--disc", "-16219"], ["--disc=-16219"]):
+        assert cli.parse_args(["classgroup", *argv, "--forms"])[1].disc == -16219
+    for argv in (["--t", "-242/29"], ["--t=-242/29"], ["--t", "-5"]):
+        assert cli.parse_args(["pullback", *argv])[1].t == Fraction(argv[-1].rpartition("=")[2])
+    assert cli.parse_args(["census", "--jsonl", "-h"])[1].jsonl == "-h"  # a value, not help
+    assert cli.parse_args(["factor", "--", "-360"])[1].n == -360
+    assert cli.parse_args(["factor", "-360"])[1].n == -360
+    assert cli.parse_args(["--config=cfg.json", "env"])[1].config == "cfg.json"
+    assert cli.parse_args(["--config", "cfg.json", "env"])[1].config == "cfg.json"
+    # the last of a repeated option holds
+    assert cli.parse_args(["census", "--height", "7", "--height=9"])[1].height == 9
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["census", "--height", "x"], "--height: invalid int value 'x'"),
+        (["census", "--height", "0"], "--height: must be at least 1, got 0"),
+        (["census", "--height"], "--height needs a value"),
+        (["pullback", "--t", "1/0"], "--t: invalid Fraction value '1/0'"),
+        (["pullback", "--t", "zebra"], "--t: invalid Fraction value 'zebra'"),
+        (["heuristic", "--mmax", "-1"], "--mmax: must be at least 0, got -1"),
+        (["factor", "--", "-h"], "n: invalid int value '-h'"),
+        (["factor", "1", "2"], "factor takes no argument 2"),
+        (["classgroup", "--disc", "-84", "--forms=yes"], "--forms takes no value"),
+        (["--config"], "--config needs a value"),
+        (["census", "--hei", "36"], "unknown option --hei for census"),  # no abbreviations
+        (["census", "--config", "cfg.json"], "unknown option --config for census"),
+        (["--height", "36", "census"], "unknown option --height"),
+        (["no-such-command"], "unknown command no-such-command; x16class -h lists them"),
+        ([], "no command given; x16class -h lists them"),
+    ],
+)
+def test_usage_error_names_the_option(capsys, argv, error):
+    """A usage error is one stderr line, naming the option, and exit 3."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {error}\n")
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfgpath = tmp_path / "small.json"
+    cfgpath.write_text(json.dumps({"trial_bound": 100, "rho_iterations": 1000}))
+    n = (2**89 - 1) * (2**107 - 1)
+    assert main([f"--config={cfgpath}", "factor", str(n)]) == 2
+    assert capsys.readouterr().out == f"{n} = 1 * C where C = {n} (incomplete)\n"
+
+
+def test_help(capsys):
+    """-h and --help print usage and exit 0: at the top level each command
+    and its help line; for a command its options, bracketed unless required
+    and with the default where there is one, and its help line."""
+    for flag in ("-h", "--help"):
+        assert main([flag]) == 0
+        usage, _, *rows = capsys.readouterr().out.splitlines()
+        assert usage == "usage: x16class [--config CONFIG] COMMAND ..."
+        assert [row.split(maxsplit=1) for row in rows] == [[name, about] for name, (_, about, _) in cli.COMMANDS.items()]
+    usages = {
+        "factor": "factor N",
+        "classgroup": "classgroup --disc DISC [--forms] [--structure]",
+        "census": "census [--height=50] [--jsonl JSONL]",
+        "pullback": "pullback --t T",
+        "verify-claims": "verify-claims [--only ONLY]",
+        "heuristic": "heuristic --mmax MMAX [--jsonl JSONL]",
+        "pi2": "pi2 --n N",  # --n is not needed for help
+    }
+    for command, (_, about, _) in cli.COMMANDS.items():
+        assert main([command, "-h"]) == 0
+        assert capsys.readouterr().out == f"usage: x16class {usages.get(command, command)}\n{about}\n"
+
+
+def test_cli_imports_no_argparse(tmp_path):
+    """The command table replaced argparse: neither it nor gettext is loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(x16class.__file__).parent.parent)}
+    probe = (
+        "import sys\n"
+        "from x16class.cli import main\n"
+        "assert main(['env']) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -122,3 +122,12 @@ def test_every_constant_is_read_in_the_package():
     }
     # the torsion point of E4 is read by the acceptance tests alone
     assert unread == {"E4_TORSION"}
+
+
+def test_package_parses_as_the_oldest_declared_python():
+    """Every module of the package parses under the grammar of the oldest
+    Python that requires-python admits (3.10), whatever runs the tests."""
+    oldest = tuple(map(int, PROJECT["requires-python"].removeprefix(">=").split(".")))
+    assert oldest == (3, 10)
+    for path in sorted((ROOT / "src" / "x16class").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=oldest)

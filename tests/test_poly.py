@@ -35,6 +35,23 @@ def test_power_and_evaluate():
     assert p == r**3 + 3 * r**2 * s + 3 * r * s**2 + s**3
 
 
+def test_power_is_the_repeated_product(monkeypatch):
+    """p**k is the k-fold product for k = 0..9, and squares only up to k's
+    top bit: bit_length(k) - 1 squarings and one product per set bit."""
+    r, s, t = MPolyZ.var("r"), MPolyZ.var("s"), MPolyZ.var("t")
+    p = 2 * r * s - t**2 + 3 * s - 1
+    product = MPolyZ.const(1, p.variables)
+    for k in range(10):
+        assert p**k == product, k
+        product = product * p
+    products, mul = [], MPolyZ.__mul__
+    monkeypatch.setattr(MPolyZ, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for k in range(1, 10):
+        products.clear()
+        p**k
+        assert len(products) == k.bit_length() - 1 + bin(k).count("1"), k
+
+
 def test_mixed_variable_alignment():
     r, s = MPolyZ.var("r"), MPolyZ.var("s")
     assert (r * s).variables == ("r", "s")
