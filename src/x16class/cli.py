@@ -15,11 +15,11 @@ integers are serialized as decimal strings so JSON consumers never lose
 precision.  Identical configuration (including the RNG seed) produces
 byte-identical output files, whatever the process count: census records
 stream to the output as they are made, in canonical order, and name no
-process count.  The census runs on x16.census_processes() processes, the
-CPUs this process may use (`env` prints that count as "workers";
-`taskset -c 0` makes it one), or on fewer where its fields do not repay a
-fork; each computes its share of the class numbers in one call.  An output
-file that cannot be opened is a usage error, found before any work starts.
+process count.  The census runs as the library's x16.census does, on at
+most x16.census_processes() processes (its docstring states the rule;
+`env` prints the count as "workers", `taskset -c 0` makes it one); a fork
+that fails is a budget exit.  An output file that cannot be opened is a
+usage error, found before any work starts.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _record_to_row(rec: x16.CensusRecord) -> dict:
 def _cmd_census(args, cfg: Config) -> int:
     height, path = args.height, args.jsonl
     with _Writer(path, cfg.format) as writer:
-        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)), parallel=True)
+        summary = x16.census(height, lambda rec: writer.write(_record_to_row(rec)))
         writer.write(
             {
                 "summary": True,

@@ -260,7 +260,8 @@ def factor_principal(e: QFieldElem) -> FactoredIdeal:
             if v:
                 entries.append((P, v))
                 check *= Fraction(P.norm()) ** v
-    assert check == n, f"norm bookkeeping failed: {check} != {n}"
+    if check != n:
+        raise AssertionError(f"norm bookkeeping failed: {check} != {n}")
     return FactoredIdeal(e.disc, tuple(entries))
 
 

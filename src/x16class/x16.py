@@ -15,7 +15,7 @@ has divisor 5(P1bar - omega(P1bar)) on the integral model, so the ideal
 (g(P)) is a fifth power and its fifth root is a 5-torsion ideal class.  The
 census runs this pipeline over all t of bounded height; its class numbers
 come from one quadform.class_numbers call per process on a contiguous share
-of the fields: this one computes share 0, forked children the rest.
+of the fields: share 0 here, forked children the rest (census_processes).
 
 The census does not factor g(P).  Two polynomial facts pin the fifth root
 down: B^2 - A^2 f16 = (x-1)^10, and U A + V B = 64 for integer polynomials
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -177,10 +178,10 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
     contains (x + y sqrt(D))/2, i.e. y b = x (mod 2N), b = D (mod 2): the
     form (N, b, (b^2-D)/4N).  N = 1 gives the principal class; t = 1/3,
     where A_h = 0, is such a case.  The divisions by 32, b^2 = D (mod 4N) and
-    f^5 = 1 (as f^4 = f^-1) are asserted, so a broken lemma raises rather
-    than answers; g_eval with quadfield.factor_principal/nth_root_ideal is
-    the oracle.  The forms are (a, b, c) tuples until the QuadForm of the
-    result.
+    f^5 = 1 (as f^4 = f^-1) are checked, also under python -O, so a broken
+    lemma raises AssertionError rather than answers; g_eval with
+    quadfield.factor_principal/nth_root_ideal is the oracle.  The forms are
+    (a, b, c) tuples until the QuadForm of the result.
     """
     _check_pullback_point(p)
     r, s = p.t.numerator, p.t.denominator
@@ -189,7 +190,8 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
     x, y = 2 * _b_h(r, s), 2 * a_m if D == p.d else a_m
     M = abs(r - s)
     if M % 2 == 0:
-        assert x % 32 == 0 and y % 32 == 0, "alpha must be 32 alpha'"
+        if x % 32 or y % 32:
+            raise AssertionError("alpha must be 32 alpha'")
         x, y, M = x // 32, y // 32, M // 2
     N = M * M
     one = (1, D & 1, ((D & 1) - D) // 4)  # the principal form
@@ -202,13 +204,15 @@ def cl5_pullback(p: X16Point) -> PullbackResult:
             b = (x // 2) * pow(y // 2, -1, N) % N
             if (b - D) % 2:
                 b += N
-        assert (b * b - D) % (4 * N) == 0, "b^2 = D (mod 4N) must hold"
+        if (b * b - D) % (4 * N):
+            raise AssertionError("b^2 = D (mod 4N) must hold")
         f = quadform._reduce(N, b, (b * b - D) // (4 * N))
     if f == one:
         order = 1
     else:  # f^5 = 1 as f^4 = f^-1: two squarings
         f2 = quadform._compose(f, f, D)
-        assert quadform._compose(f2, f2, D) == quadform._reduce(f[0], -f[1], f[2]), "pullback class order must divide 5"
+        if quadform._compose(f2, f2, D) != quadform._reduce(f[0], -f[1], f[2]):
+            raise AssertionError("pullback class order must divide 5")
         order = 5
     return PullbackResult(p.t, D, QuadForm(*f), order)
 
@@ -308,10 +312,11 @@ FORK = hasattr(os, "fork")
 
 
 def census_processes() -> int:
-    """The most processes a census runs on: the CPUs this process may use
-    (all of them where the OS reports no affinity), 1 where os.fork is
-    missing."""
-    if not FORK:
+    """The most processes a census runs on, the one rule for every caller:
+    1 where os.fork is missing or while another Python thread runs (a fork
+    may copy a lock that thread holds), else the CPUs this process may use
+    (all of them where the OS reports no affinity)."""
+    if not FORK or threading.active_count() > 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -349,10 +354,10 @@ def _fork_worker(share: list[int]) -> tuple[int, BinaryIO]:
             # theirs: class_numbers' numpy sieve calls no BLAS
             warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
             pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(r)
         os.close(w)
-        raise
+        raise BudgetExceeded(f"cannot fork a census process: {exc}") from exc
     if pid:
         os.close(w)
         return pid, open(r, "rb")
@@ -397,11 +402,7 @@ def _class_numbers_by_share(shares: list[list[int]]):
             os.waitpid(pid, 0)
 
 
-def census(
-    height_bound: int,
-    sink: Optional[Callable[[CensusRecord], None]] = None,
-    parallel: bool = False,
-) -> CensusSummary:
+def census(height_bound: int, sink: Optional[Callable[[CensusRecord], None]] = None) -> CensusSummary:
     """Run divisibility_check on every non-cusp imaginary t of bounded height;
     each record reaches `sink` in canonical order as soon as its h is known.
 
@@ -412,11 +413,10 @@ def census(
     (_class_numbers_by_share): this process computes share 0 when the first
     record needs it, and w - 1 forked children the other shares at the same
     time.  So each field is sieved once, and the records do not depend on
-    w.  With parallel, w is at most census_processes(), and only as many as
-    the fields' cost repays (CENSUS_MIN_WORK each); without, w = 1 and
-    nothing is forked, as forking a threaded caller is not safe (the CLI
-    passes parallel=True).  No child outlives the call.  A record over the cap
-    becomes an error row "Type: message": the census asks
+    w, which is at most census_processes() (its docstring states the rule)
+    and only as many as the fields' cost repays (CENSUS_MIN_WORK each).  No
+    child outlives the call.  A record over the cap becomes an error row
+    "Type: message": the census asks
     quadform.class_number for its h, whose cap check raises BudgetExceeded
     before it allocates.  A census discriminant is fundamental (d is
     squarefree, D = d or 4d), so any exception from class_numbers is a bug
@@ -425,7 +425,7 @@ def census(
     points = _census_points(census_parameters(height_bound), height_bound)
     distinct = dict.fromkeys(p.disc for p in points)  # share 0 serves the first records
     hs = {D: None for D in distinct if -D > quadform.CLASS_NUMBER_DISC_CAP}
-    shares = _census_shares([D for D in distinct if D not in hs], census_processes() if parallel else 1)
+    shares = _census_shares([D for D in distinct if D not in hs], census_processes())
     results = _class_numbers_by_share(shares)
     try:
         for p in points:

@@ -455,6 +455,28 @@ def test_census_into_closed_pipe(tmp_path, monkeypatch):
     _no_child_left()
 
 
+def test_census_fork_failure_exits_2(capsys, monkeypatch):
+    """A fork that fails (a process limit: BlockingIOError) is a budget
+    exit, 2, with one stderr line, not a traceback and exit 1, which means a
+    violation.  On 3 processes the first fork succeeds and the second fails;
+    the child already forked is killed and reaped."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 3)
+    monkeypatch.setattr(x16, "CENSUS_MIN_WORK", 1)
+    forks, real_fork = [], os.fork
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert main(["census", "--height", "20"]) == 2
+    _no_child_left()
+    assert len(forks) == 1
+    assert capsys.readouterr().err == "budget exceeded: cannot fork a census process: [Errno 11] Resource temporarily unavailable\n"
+
+
 # each command's required tokens, and every option it then holds
 PARSED = {
     "factor": (["12"], {"n": 12}),

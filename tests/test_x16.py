@@ -3,6 +3,9 @@
 import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt
@@ -146,6 +149,34 @@ def test_pullback_orders_pinned():
         assert res.order == order, t
 
 
+BROKEN_UNDER_O = """
+from x16class import quadfield, quadform, x16
+assert False, "python -O strips assert statements"
+p = x16.point_from_t(-5)
+quadform._compose = lambda f, g, D: f  # f^4 = f, not f^-1
+quadfield.valuation = lambda e, P: 1  # every prime above 3 counted once
+checks = {"cl5_pullback": x16.cl5_pullback, "factor_principal": lambda p: quadfield.factor_principal(x16.g_eval(p))}
+for name, check in checks.items():
+    try:
+        check(p)
+    except AssertionError as exc:
+        print(name, exc)
+"""
+
+
+def test_pullback_checks_survive_python_dash_O():
+    """The checks a broken lemma must trip are not assert statements: with
+    form composition and valuations broken, cl5_pullback and
+    factor_principal raise AssertionError under python -O too."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(x16.__file__)), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-O", "-c", BROKEN_UNDER_O], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "cl5_pullback pullback class order must divide 5",
+        "factor_principal norm bookkeeping failed: 9 != 1",
+    ]
+
+
 def test_pullback_matches_ideal_factorisation():
     """The closed form gives the reduced form of the fifth root of (g(P))
     computed by ideal factorisation, on both parities of r - s."""
@@ -259,6 +290,7 @@ def test_census_sieves_each_field_once(monkeypatch):
     """class_numbers is sent every field of the census once: the serial
     census of height <= 100 makes one call of its 1 259 fields (h stubbed to
     0, as only the rows count)."""
+    monkeypatch.setattr(x16, "census_processes", lambda: 1)
     batches = _count_class_numbers(monkeypatch, stub=True)
     census(100)
     fields = {p.disc for p in x16._census_points(census_parameters(100), 100)}
@@ -290,7 +322,7 @@ def test_census_streams_records(monkeypatch):
     events, real_load = [], pickle.load
     monkeypatch.setattr(pickle, "load", lambda f: events.append("load") or real_load(f))
     records = []
-    census(20, lambda rec: records.append(rec) or events.append("record"), parallel=True)
+    census(20, lambda rec: records.append(rec) or events.append("record"))
     _no_child_left()
     assert events.index("record") < events.index("load") and events.count("load") == 1
     assert [rec.t for rec in records] == census_parameters(20)
@@ -298,9 +330,29 @@ def test_census_streams_records(monkeypatch):
 
 def test_census_processes(monkeypatch):
     """The CPUs this process may use; os.cpu_count() where the OS reports no
-    affinity (macOS), 1 if that is unknown too or os.fork is missing."""
+    affinity (macOS), 1 if that is unknown too, os.fork is missing or
+    another thread runs.  On 2 CPUs, census(36) forks nothing while a
+    second thread waits, and one child once it has ended; the records are
+    the same, and no child is left."""
     if hasattr(os, "sched_getaffinity"):
         assert x16.census_processes() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    serial, records = [], []
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert x16.census_processes() == 1
+        census(36, serial.append)
+    finally:
+        release.set()
+        waiting.join()
+    assert forks == [] and x16.census_processes() == 2
+    census(36, records.append)
+    _no_child_left()
+    assert len(forks) == 1 and records == serial and len(records) == 328
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     assert x16.census_processes() == 6
@@ -342,7 +394,7 @@ def test_census_shares(monkeypatch, height, processes, min_work, sizes):
     assert x16._census_shares(discs[:1], processes) == [discs[:1]]
     assert x16._census_shares([], processes) == [[]]
     assert len(x16._census_shares(discs, 2)) == min(len(sizes), 2)
-    assert x16._census_shares(discs, 1) == [discs]  # one CPU, no os.fork, or not parallel
+    assert x16._census_shares(discs, 1) == [discs]  # one CPU, no os.fork, or another thread running
 
 
 def _no_child_left():
@@ -351,9 +403,9 @@ def _no_child_left():
 
 
 def test_census_workers(monkeypatch):
-    """In parallel on c CPUs the census forks at most c - 1 children, one per
-    share after the first, and only for fields whose cost repays them (none
-    where os.fork is missing); it gives the records of the serial census,
+    """On c CPUs the census forks at most c - 1 children, one per share
+    after the first, and only for fields whose cost repays them (none where
+    os.fork is missing); it gives the records of the serial census,
     and leaves no child, whether it returns or raises.  An exception in a
     child is raised in the parent with its type; a child that ends without a
     result is a RuntimeError naming its share.  The warning that Python >=
@@ -363,12 +415,13 @@ def test_census_workers(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     cases = ((20, 2, 1, 1), (20, 4, 1, 3), (4, 4, 1, 1), (3, 4, 1, 0), (20, 4, None, 0), (36, 4, None, 1))
     for height, cpus, min_work, children in cases:
-        monkeypatch.setattr(x16, "census_processes", lambda: cpus)
         monkeypatch.setattr(x16, "CENSUS_MIN_WORK", min_work or 150_000)
         serial, records = [], []
+        monkeypatch.setattr(x16, "census_processes", lambda: 1)
         census(height, serial.append)
+        monkeypatch.setattr(x16, "census_processes", lambda: cpus)
         forks.clear()
-        census(height, records.append, parallel=True)
+        census(height, records.append)
         _no_child_left()
         assert len(forks) == children and records == serial, (height, cpus)
 
@@ -379,7 +432,7 @@ def test_census_workers(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)  # as Python >= 3.12 with OpenBLAS threads
-    assert census(36, parallel=True).records == 328
+    assert census(36).records == 328
     _no_child_left()
 
     parent, real = os.getpid(), quadform.class_numbers
@@ -391,7 +444,7 @@ def test_census_workers(monkeypatch):
 
     monkeypatch.setattr(quadform, "class_numbers", failing)
     with pytest.raises(ZeroDivisionError, match="in the child"):
-        census(36, parallel=True)
+        census(36)
     _no_child_left()
 
     def dying(discs):
@@ -401,14 +454,14 @@ def test_census_workers(monkeypatch):
 
     monkeypatch.setattr(quadform, "class_numbers", dying)
     with pytest.raises(RuntimeError, match="share 1"):
-        census(36, parallel=True)
+        census(36)
     _no_child_left()
 
     monkeypatch.setattr(x16, "census_processes", real_processes)
     monkeypatch.setattr(x16, "FORK", False)  # as where os.fork is missing
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     forks.clear()
-    assert census(36, parallel=True).records == 328 and forks == []  # no share met `dying` in a child
+    assert census(36).records == 328 and forks == []  # no share met `dying` in a child
 
 
 def test_census_call_pattern(tmp_path, monkeypatch):
@@ -424,7 +477,7 @@ def test_census_call_pattern(tmp_path, monkeypatch):
         return [0] * len(discs)
 
     monkeypatch.setattr(quadform, "class_numbers", logged)
-    census(100, parallel=True)
+    census(100)
     _no_child_left()
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert [n for pid, n in calls if pid == os.getpid()] == [901]
@@ -439,7 +492,7 @@ def test_census_child_result_beyond_pipe_buffer(monkeypatch):
     monkeypatch.setattr(x16, "census_processes", lambda: 2)
     monkeypatch.setattr(quadform, "class_numbers", lambda discs: [10**1000] * len(discs))
     records = []
-    summary = census(100, records.append, parallel=True)
+    summary = census(100, records.append)
     _no_child_left()
     assert summary.records == len(records) == len(census_parameters(100))
     assert all(rec.h == 10**1000 for rec in records)
